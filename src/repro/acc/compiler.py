@@ -173,22 +173,23 @@ class Program:
     # -- execution -------------------------------------------------------
 
     def _record_kernel(self, profiler, name: str, stats: KernelStats,
-                       timing, grid_dim: int, block_dim: tuple[int, int],
-                       executor_mode: str | None = None) -> None:
+                       timing, grid_dim: int,
+                       block_dim: tuple[int, int]) -> None:
         profiler.record_kernel(name, stats, timing, grid_dim=grid_dim,
                                block_dim=block_dim, device=self.device,
                                compiler=self.profile.name,
                                strategy=self._strategy,
-                               executor=executor_mode or "batched",
+                               executor=stats.executor,
                                kernel=self._compiled[name].kernel)
 
     def _emit_kernel_span(self, name: str, timing, grid_dim: int,
-                          executor_mode: str | None) -> None:
-        """Mirror one launch onto the telemetry bus (modeled duration)."""
+                          executor: str) -> None:
+        """Mirror one launch onto the telemetry bus (modeled duration,
+        and the executor mode the launch resolved to)."""
         tl = _timeline.current()
         if tl is not None:
             tl.span("gpu", f"kernel:{name}", timing.total_us,
-                    grid=grid_dim, executor=executor_mode or "batched",
+                    grid=grid_dim, executor=executor,
                     compiler=self.profile.name)
 
     def run(self, *, trace: bool = False, data_region=None, profiler=None,
@@ -243,15 +244,24 @@ class Program:
           first strategy that survives, recording the degradation on the
           result and in ``profiler.metrics``.
 
-        ``executor_mode`` (``"batched"`` default / ``"reference"``) and
+        ``executor_mode`` (``"trace"``, ``"batched"`` — the default,
+        unless ``REPRO_EXECUTOR`` names another — or ``"reference"``) and
         ``block_batch`` select the simulator's executor path for every
         launch of this run (see
-        :meth:`repro.gpu.executor.CompiledKernel.run`); both paths are
-        pinned bit-identical, so this is a performance knob only.
+        :meth:`repro.gpu.executor.CompiledKernel.run`); the three paths
+        are pinned bit-identical, so this is a performance knob only.
+        Each launch's ``stats.executor`` records the mode it resolved to
+        after any demotion.  Under the counter-memo contract, a repeated
+        ``trace`` or ``batched`` launch of a kernel with data-independent
+        counters — same geometry, same index- and condition-reaching
+        params, same buffer layout, no faults, ``trace`` and
+        ``attribution`` off — executes values only and reuses the first
+        launch's counters (``stats.counters == "memo"``); ``reference``
+        always counts.
 
         ``attribution=True`` fills a per-statement
         :class:`~repro.gpu.events.AttributionTable` on every launch's
-        ``stats.attribution`` (both executors produce bit-identical
+        ``stats.attribution`` (all executors produce bit-identical
         tables) — the input to the annotated-listing and roofline views
         in :mod:`repro.obs.attribution` / :mod:`repro.obs.roofline`.
         Off by default: the run path allocates nothing for it when
@@ -347,12 +357,9 @@ class Program:
         stats[name] = st
         tb = self._cost.kernel_time(st)
         env.ledger.add(f"kernel:{name}", tb.total_us)
-        self._emit_kernel_span(name, tb, grid, executor_mode)
+        self._emit_kernel_span(name, tb, grid, st.executor)
         if profiler is not None:
-            self._record_kernel(profiler, name, st, tb, grid, block,
-                                executor_mode=ck.effective_mode(
-                                    executor_mode, grid, env.gmem, faults,
-                                    trace_events=trace))
+            self._record_kernel(profiler, name, st, tb, grid, block)
         return st
 
     def _finalize_reduction(self, g, env, scalars: dict, stats: dict,

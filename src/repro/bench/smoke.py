@@ -16,6 +16,11 @@ rows must show a >=10x trace-over-reference wall speedup (a property of
 the current build, not a ratio against history; gang-position rows
 clear it with margin, and slower rows are recorded honestly).
 
+The ``counter_memo`` section is an identity check, not a timing: on
+each ``table2_quick`` cell, under ``batched`` and ``trace``, a repeated
+launch must hit the counter memo and return exactly the counters,
+modeled ms and results of a counted launch.
+
 Usage::
 
     python -m repro.bench.smoke --out BENCH_table2.json    # write baseline
@@ -199,6 +204,49 @@ def _trace_workload(reps: int) -> dict:
                            if r["trace_speedup"] >= TRACE_SPEEDUP_FLOOR),
         "speedup_floor": TRACE_SPEEDUP_FLOOR,
         "min_rows_ge_10x": TRACE_MIN_ROWS_10X,
+    }
+
+
+def _counter_memo_guard() -> dict:
+    """Counter-memo identity on the ``table2_quick`` cells (not timed).
+
+    Per cell and fast executor mode, a program's second launch — on
+    fresh seeded inputs, so a memo hit that reused stale *values* would
+    show too — must be served from the counter memo and return the same
+    KernelStats, modeled ms and result bytes as a counted launch of a
+    freshly compiled program.
+    """
+    from repro import acc
+    from repro.testsuite.cases import POSITIONS, generate_cases
+
+    cases = generate_cases(positions=POSITIONS, ops=("+",),
+                           ctypes=("float",), size=4096)
+    geom = dict(num_gangs=192, num_workers=8, vector_length=128)
+    rows = []
+    for case in cases:
+        warm = acc.compile(case.source, **geom)
+        oracle = acc.compile(case.source, **geom)
+        fresh = case.make_inputs(np.random.default_rng(43))
+        for mode in ("batched", "trace"):
+            warm.run(executor_mode=mode,
+                     **case.make_inputs(np.random.default_rng(42)))
+            hit = warm.run(executor_mode=mode, **fresh)
+            counted = oracle.run(executor_mode=mode, **fresh)
+            rows.append({
+                "config": f"{case.label} {mode}",
+                "memo_hit": all(st.counters == "memo"
+                                for st in hit.kernel_stats.values()),
+                "identical": (
+                    hit.kernel_stats == counted.kernel_stats
+                    and hit.kernel_ms == counted.kernel_ms
+                    and all(np.asarray(hit.scalars[n]).tobytes()
+                            == np.asarray(v).tobytes()
+                            for n, v in counted.scalars.items())),
+            })
+    return {
+        "cells": rows,
+        "all_hit": all(r["memo_hit"] for r in rows),
+        "all_identical": all(r["identical"] for r in rows),
     }
 
 
@@ -482,6 +530,7 @@ def run_smoke(reps: int = 2) -> dict:
             "reduction_64gang": _gang64_workload(reps),
         },
         "trace_executor": _trace_workload(reps),
+        "counter_memo": _counter_memo_guard(),
         "attribution_guard": _attribution_guard(),
         "pass_pipeline": _passes_guard(),
         "cascade_fusion": _cascade_guard(),
@@ -509,6 +558,17 @@ def check_against_baseline(current: dict, baseline: dict,
             failures.append(f"trace_guard: {check} violated — request "
                             "tracing must cost nothing when uninstalled "
                             "and not perturb results when on")
+    cm = current.get("counter_memo")
+    if cm is not None:
+        for row in cm["cells"]:
+            if not row["memo_hit"]:
+                failures.append(
+                    f"counter_memo: {row['config']}: the repeated launch "
+                    "counted again instead of hitting the counter memo")
+            if not row["identical"]:
+                failures.append(
+                    f"counter_memo: {row['config']}: memo-hit stats, "
+                    "modeled ms or results differ from a counted launch")
     pp = current.get("pass_pipeline")
     if pp is not None:
         for row in pp["configs"]:
@@ -605,6 +665,10 @@ def main(argv=None) -> int:
               f"identical={row['modeled_identical']}", file=sys.stderr)
     print(f"  trace rows >=10x: {te['rows_ge_10x']}/{len(te['rows'])} "
           f"(gate: {te['min_rows_ge_10x']})", file=sys.stderr)
+    cm = doc["counter_memo"]
+    print(f"  counter memo: {sum(r['memo_hit'] for r in cm['cells'])}/"
+          f"{len(cm['cells'])} hits, identical={cm['all_identical']}",
+          file=sys.stderr)
     pp = doc["pass_pipeline"]
     for row in pp["configs"]:
         print(f"  passes {row['config']:<42} "

@@ -133,6 +133,15 @@ class KernelStats:
     #: events, so :meth:`merge` must not sum them
     CONFIG_FIELDS = frozenset({"blocks", "threads_per_block", "shared_bytes"})
 
+    #: launch provenance, set by
+    #: :meth:`~repro.gpu.executor.CompiledKernel.run`: the executor mode
+    #: the launch resolved to, and whether its counters were ``"counted"``
+    #: or served from the counter ``"memo"``.  Plain attributes, not
+    #: fields: they say how the counters were produced, so equality,
+    #: :meth:`merge` and :meth:`summary` ignore them
+    executor = None
+    counters = None
+
     def merge(self, other: "KernelStats") -> None:
         """Fold another stats object (e.g. per-block counters) into this one.
 

@@ -15,17 +15,34 @@ optimization guidance in the project's HPC coding guides: hoist work out of
 the hot loop).
 
 This module is the **reference** executor: it advances one block at a
-time, which keeps the semantics obvious and auditable.  The default
-production path is :mod:`repro.gpu.executor_batched`, which advances all
-blocks of a launch at once over a leading block axis and is pinned
-bit-identical to this one; select between them with
-``CompiledKernel.run(..., mode="batched"|"reference")``.
+time, which keeps the semantics obvious and auditable.  It also hosts
+:class:`CompiledKernel`, which dispatches each launch to one of three
+executor modes, all pinned bit-identical in results and counters:
+
+* ``"trace"`` — the kernel compiled to generated whole-array NumPy
+  source (:mod:`repro.gpu.executor_trace`);
+* ``"batched"`` — the default: closures over a leading block axis, all
+  blocks of a chunk per statement (:mod:`repro.gpu.executor_batched`);
+* ``"reference"`` — this module's one-block-at-a-time closures.
+
+Select one with ``CompiledKernel.run(..., mode=...)``.
+
+Counter memo: when the static analysis proves a kernel's counters
+data-independent, a ``trace`` or ``batched`` launch whose shape (mode,
+geometry, the params that reach a condition or an index, and the buffer
+layout) matches an earlier counted launch runs values only and returns a
+copy of that launch's :class:`~repro.gpu.events.KernelStats`.  The
+reference executor always counts: it is the oracle the memo is checked
+against.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import os
+import threading
+from collections import OrderedDict
 
 import numpy as np
 
@@ -646,6 +663,18 @@ def _default_mode() -> str:
     return m if m in _EXECUTOR_MODES else "batched"
 
 
+#: counter-memo entries kept per kernel (launch shapes, LRU): iterative
+#: callers re-launch one or two shapes, so a handful covers them
+_COUNTER_MEMO_MAX = 8
+
+
+def _armed(faults):
+    """``faults``, or None once the injector can no longer inject (its
+    ``max_faults`` budget is spent): every hook of a disarmed injector is
+    a no-op that draws no RNG, so the launch is an unfaulted one."""
+    return faults if faults is not None and faults.armed else None
+
+
 class CompiledKernel:
     """A kernel compiled to Python closures, runnable over a grid.
 
@@ -673,6 +702,11 @@ class CompiledKernel:
         self._trace_fn = None
         self._trace_slot_sids: dict[int, int] | None = None
         self._trace_safety = None  # lazy trace-compilation verdict
+        # counter memo: launch key -> KernelStats of a counted launch.
+        # Locked because one kernel may launch from several threads (the
+        # serve device pool)
+        self._counter_memo: OrderedDict[tuple, KernelStats] = OrderedDict()
+        self._memo_lock = threading.Lock()
 
     @property
     def batch_safety(self):
@@ -735,8 +769,10 @@ class CompiledKernel:
         or no block-independence proof), kernels already demoted by a
         runtime hazard, armed fault injectors, and ``trace_events``
         launches (TraceEvent collection is a per-access interpreter
-        concern the generated code deliberately omits).
+        concern the generated code deliberately omits).  An injector
+        whose ``max_faults`` budget is spent is no longer armed.
         """
+        faults = _armed(faults)
         if mode is None:
             mode = _default_mode()
         if mode == "trace":
@@ -759,6 +795,23 @@ class CompiledKernel:
                 return "reference"
         return "batched"
 
+    def _memo_key(self, mode: str, gmem: GlobalMemory, grid_dim: int,
+                  bdx: int, bdy: int, params: dict) -> tuple:
+        """What a memoized launch must match: the resolved mode, the
+        geometry, the values of the params that reach a condition or an
+        index, and the layout of every kernel buffer."""
+        layout = []
+        for b in self.kernel.buffers:
+            # a missing buffer keys as None; the launch then raises
+            buf = gmem[b] if b in gmem else None
+            layout.append(None if buf is None
+                          else (buf.base, buf.size, buf.dtype))
+        # repr keeps values that compare equal but steer an index or a
+        # condition differently (-0.0 vs 0.0, int vs float) apart
+        values = tuple((type(v), repr(v)) for v in
+                       map(params.get, self.batch_safety.key_params))
+        return (mode, grid_dim, bdx, bdy, values, tuple(layout))
+
     def run(self, gmem: GlobalMemory, grid_dim: int, block_dim: tuple[int, int],
             params: dict | None = None, trace: bool = False, *,
             faults=None, watchdog_budget: int | None = None,
@@ -769,20 +822,39 @@ class CompiledKernel:
         Blocks are independent by construction — that's the premise of
         the gang level.  ``mode`` selects how they are advanced:
 
-        * ``"batched"`` (the default, ``None``) — all blocks of a chunk
-          advance through each statement in one NumPy operation (see
-          :mod:`repro.gpu.executor_batched`); ``block_batch`` bounds the
-          chunk size (default
-          :data:`~repro.gpu.executor_batched.DEFAULT_BLOCK_BATCH`).
+        * ``"trace"`` — the kernel runs as generated whole-array NumPy
+          source (see :mod:`repro.gpu.executor_trace`);
+        * ``"batched"`` (the default for ``None``, overridable with the
+          ``REPRO_EXECUTOR`` environment variable) — all blocks of a
+          chunk advance through each statement in one NumPy operation
+          (see :mod:`repro.gpu.executor_batched`);
         * ``"reference"`` — one block at a time, the original executor.
 
-        Both modes produce bit-identical results and
-        :class:`~repro.gpu.events.KernelStats` counters; the batched path
-        only removes per-block Python dispatch overhead.  Kernels whose
-        blocks communicate through global memory (the auto-parallelizer's
-        serialized fallbacks, looped float atomics) are detected by
-        :meth:`effective_mode` and silently run on the reference path, so
-        the identity guarantee holds for every kernel.
+        ``block_batch`` bounds the chunk size of the first two (default
+        :data:`~repro.gpu.executor_batched.DEFAULT_BLOCK_BATCH`).  All
+        three modes produce bit-identical results and
+        :class:`~repro.gpu.events.KernelStats` counters; the fast paths
+        only remove Python dispatch overhead.  A launch a fast path cannot
+        honor is demoted (see :meth:`effective_mode`): trace to batched,
+        batched to reference — kernels whose blocks communicate through
+        global memory, looped float atomics — so the identity guarantee
+        holds for every kernel.  The returned stats carry the mode the
+        launch resolved to in ``stats.executor``.
+
+        Counter memo: a ``trace`` or ``batched`` launch of a kernel whose
+        counters are data-independent
+        (:attr:`~repro.gpu.executor_batched.BatchSafety.counters_invariant`),
+        with no armed fault injector, ``trace`` and ``attribution`` off, is
+        keyed on its mode, ``grid_dim``, ``block_dim``, the values of the
+        params that reach a condition or an index, and the
+        ``(base, size, dtype)`` of every kernel buffer.  The first launch
+        of a key counts and is remembered (a few keys per kernel); a
+        later launch with the same key executes values only — bounds
+        checks, the watchdog and the cross-block hazard checks still run,
+        the memory-transaction, bank and segment-reuse accounting does
+        not — and returns a fresh copy of the remembered stats.
+        ``stats.counters`` says which (``"memo"`` or ``"counted"``).
+        The reference executor never memoizes: it is the counting oracle.
 
         ``trace`` is the single opt-in knob for structured
         :class:`~repro.gpu.events.TraceEvent` collection: off (the default)
@@ -795,7 +867,9 @@ class CompiledKernel:
         ``faults`` (a :class:`repro.faults.FaultInjector`, opt-in like the
         profiler) arms this launch for injected transient faults: it may
         raise :class:`~repro.errors.KernelLaunchError` at entry, flip bits
-        of memory reads, or put the launch in stuck-warp mode.  The
+        of memory reads, or put the launch in stuck-warp mode; once its
+        ``max_faults`` budget is spent it is disarmed and the launch runs
+        as an unfaulted one.  The
         watchdog always runs: a launch exceeding ``watchdog_budget`` loop
         steps (default :data:`DEFAULT_WATCHDOG_BUDGET`; ``0`` or negative
         disables) raises :class:`~repro.errors.WatchdogTimeoutError`
@@ -804,11 +878,12 @@ class CompiledKernel:
         ``attribution`` (opt-in, like ``trace``) fills a per-statement
         :class:`~repro.gpu.events.AttributionTable` on
         ``stats.attribution``, keyed by the stamped statement ``sid``s.
-        Both executor modes produce bit-identical tables; off (the
+        All executor modes produce bit-identical tables; off (the
         default) the closures allocate nothing.
         """
         bdx, bdy = block_dim
         self.device.validate_block(bdx, bdy, self.kernel.shared_bytes)
+        faults = _armed(faults)
         if grid_dim < 1:
             raise SimulationError(f"grid_dim must be >= 1, got {grid_dim}")
         if mode is None:
@@ -820,11 +895,22 @@ class CompiledKernel:
         requested = mode
         mode = self.effective_mode(mode, grid_dim, gmem, faults,
                                    trace_events=trace)
+        params = dict(params or {})
+        memo_key = memo = None
+        if (mode != "reference" and faults is None and not trace
+                and not attribution
+                and self.batch_safety.counters_invariant):
+            memo_key = self._memo_key(mode, gmem, grid_dim, bdx, bdy, params)
+            with self._memo_lock:
+                memo = self._counter_memo.get(memo_key)
+                if memo is not None:
+                    self._counter_memo.move_to_end(memo_key)
         tl = _timeline.current()
         if tl is not None:
             tl.decision("gpu", "executor-mode", kernel=self.kernel.name,
                         requested=requested, mode=mode, grid=grid_dim,
-                        fallback=(mode != requested))
+                        fallback=(mode != requested),
+                        counters="counted" if memo is None else "memo")
         if faults is not None:
             faults.on_launch(self.kernel.name)  # may raise KernelLaunchError
         stats = KernelStats(
@@ -834,7 +920,6 @@ class CompiledKernel:
         )
         if attribution:
             stats.attribution = AttributionTable()
-        params = dict(params or {})
         for b in self.kernel.buffers:
             if b not in gmem:
                 raise SimulationError(
@@ -863,15 +948,17 @@ class CompiledKernel:
                          for b in safety.checked_bufs if b in gmem}
                 snapshot = {b: gmem[b].data.copy()
                             for b in safety.written_bufs if b in gmem}
+            count = memo is None
             try:
                 if mode == "trace":
                     from repro.gpu.executor_trace import run_trace
-                    return run_trace(self, gmem, grid_dim, block_dim,
-                                     stats, params, budget, block_batch,
-                                     check=check)
-                return run_batched(self, gmem, grid_dim, block_dim, stats,
-                                   params, trace, faults, budget, stuck,
-                                   block_batch, check=check)
+                    run_trace(self, gmem, grid_dim, block_dim, stats,
+                              params, budget, block_batch, check=check,
+                              count=count)
+                else:
+                    run_batched(self, gmem, grid_dim, block_dim, stats,
+                                params, trace, faults, budget, stuck,
+                                block_batch, check=check, count=count)
             except _BatchHazard:
                 # blocks really did share a location: restore the
                 # pre-launch contents and rerun sequentially (sticky —
@@ -886,6 +973,18 @@ class CompiledKernel:
                 )
                 if attribution:
                     stats.attribution = AttributionTable()
+            else:
+                if memo is not None:
+                    stats = dataclasses.replace(memo, trace=[])
+                elif memo_key is not None:
+                    with self._memo_lock:
+                        self._counter_memo[memo_key] = dataclasses.replace(
+                            stats, trace=[])
+                        if len(self._counter_memo) > _COUNTER_MEMO_MAX:
+                            self._counter_memo.popitem(last=False)
+                stats.executor = mode
+                stats.counters = "counted" if count else "memo"
+                return stats
         env = BlockEnv(bdx, bdy, grid_dim, gmem, None, stats, params,
                        self.device.warp_size, trace)
         env.seg_cache = {}  # fresh reuse state per launch
@@ -915,4 +1014,6 @@ class CompiledKernel:
         finally:
             gmem.faults = prev_faults
             gmem.fault_block = None
+        stats.executor = "reference"
+        stats.counters = "counted"
         return stats

@@ -97,39 +97,55 @@ class BatchSafety:
     floats) defer to launch time, when buffer dtypes are known.
     ``written_bufs`` is everything the kernel may mutate — the snapshot
     set for rolling back an aborted checked launch.
+
+    ``counters_invariant`` says the launch counters are a function of the
+    launch shape alone: no branch or loop condition and no global, shared
+    or atomic index depends on loaded data.  ``key_params`` names the
+    params that reach a condition or an index — with the geometry and
+    the buffer layout, their values determine every counter, which is
+    what lets :meth:`~repro.gpu.executor.CompiledKernel.run` memoize
+    the counters of such kernels.
     """
 
     __slots__ = ("batchable", "reason", "checked_bufs",
-                 "looped_atomic_bufs", "written_bufs")
+                 "looped_atomic_bufs", "written_bufs",
+                 "counters_invariant", "key_params")
 
     def __init__(self, batchable, reason="", checked_bufs=(),
-                 looped_atomic_bufs=(), written_bufs=()):
+                 looped_atomic_bufs=(), written_bufs=(),
+                 counters_invariant=False, key_params=()):
         self.batchable = batchable
         self.reason = reason
         self.checked_bufs = tuple(checked_bufs)
         self.looped_atomic_bufs = tuple(looped_atomic_bufs)
         self.written_bufs = tuple(written_bufs)
+        self.counters_invariant = counters_invariant
+        self.key_params = tuple(key_params)
 
 
-def _walk_expr(e, regs, specials):
-    """Collect register names and thread-geometry specials of ``e``."""
+def _walk_expr(e, regs, specials, params=None):
+    """Collect register names and thread-geometry specials of ``e`` (and
+    its param names, when a ``params`` set is given)."""
     if isinstance(e, K.Reg):
         regs.add(e.name)
     elif isinstance(e, K.Special):
         specials.add(e.kind)
+    elif isinstance(e, K.Param):
+        if params is not None:
+            params.add(e.name)
     elif isinstance(e, K.Bin):
-        _walk_expr(e.a, regs, specials)
-        _walk_expr(e.b, regs, specials)
+        _walk_expr(e.a, regs, specials, params)
+        _walk_expr(e.b, regs, specials, params)
     elif isinstance(e, (K.Un, K.Cast)):
-        _walk_expr(e.a, regs, specials)
+        _walk_expr(e.a, regs, specials, params)
     elif isinstance(e, K.Call):
         for a in e.args:
-            _walk_expr(a, regs, specials)
+            _walk_expr(a, regs, specials, params)
     elif isinstance(e, K.Select):
-        _walk_expr(e.cond, regs, specials)
-        _walk_expr(e.a, regs, specials)
-        _walk_expr(e.b, regs, specials)
-    # Const / Param carry no registers
+        _walk_expr(e.cond, regs, specials, params)
+        _walk_expr(e.a, regs, specials, params)
+        _walk_expr(e.b, regs, specials, params)
+    # Const carries nothing
 
 
 def analyze_batch_safety(kernel) -> BatchSafety:
@@ -152,69 +168,115 @@ def analyze_batch_safety(kernel) -> BatchSafety:
       the runtime check and keep the fast path.
 
     Registers are tracked with a monotone taint pass iterated to a fixed
-    point so values flowing around loop back-edges are caught.
+    point so values flowing around loop back-edges are caught (the body
+    is flattened once, in program order, so later rounds only redo the
+    set algebra).  The same pass yields the counter-invariance verdict:
+    the taint lattice plus per-register param sets, read back over the
+    flattened conditions and indices once they converge — a tainted
+    register there makes the counters data-dependent, and the params
+    they read become ``key_params``.
     """
     loaded, stored, atomics = set(), set(), set()
     tainted, blockvar = set(), set()          # register taint lattices
     scatter, uniform_store, looped_atomics = set(), set(), set()
+    pdeps: dict[str, set] = {}                # register -> params it reads
+    # (kind, dst register or stored buffer, registers read, reads
+    # blockIdx, params read): "assign" defines dst; every other kind is a
+    # condition or an index ("load" then taints dst, "store" classifies
+    # the stored buffer).  Tuples, not sets: the list lives through the
+    # whole fixed point, so it stays small for the garbage collector
+    ops: list[tuple] = []
 
-    def visit(stmts, in_loop):
+    def op(kind, dst, e):
+        regs, spec, prm = set(), set(), set()
+        _walk_expr(e, regs, spec, prm)
+        ops.append((kind, dst, tuple(regs), "bx" in spec, tuple(prm)))
+
+    def flatten(stmts, in_loop):
         for s in stmts:
             if isinstance(s, K.Assign):
-                regs, spec = set(), set()
-                _walk_expr(s.value, regs, spec)
-                if regs & tainted:
-                    tainted.add(s.dst)
-                if "bx" in spec or regs & blockvar:
-                    blockvar.add(s.dst)
+                op("assign", s.dst, s.value)
             elif isinstance(s, K.GLoad):
                 loaded.add(s.buf)
-                tainted.add(s.dst)
+                op("load", s.dst, s.index)
             elif isinstance(s, K.SLoad):
                 # shared memory is per-block, but its contents may have
                 # come from global loads — taint conservatively
-                tainted.add(s.dst)
+                op("load", s.dst, s.index)
+            elif isinstance(s, K.SStore):
+                op("index", None, s.index)
             elif isinstance(s, K.ShflDown):
-                if s.src in tainted:
-                    tainted.add(s.dst)
-                if s.src in blockvar:
-                    blockvar.add(s.dst)
+                op("assign", s.dst, K.Reg(s.src))
             elif isinstance(s, K.GStore):
                 stored.add(s.buf)
-                regs, spec = set(), set()
-                _walk_expr(s.index, regs, spec)
-                if regs & tainted:
-                    scatter.add(s.buf)
-                if "bx" not in spec and not (regs & blockvar):
-                    uniform_store.add(s.buf)
+                op("store", s.buf, s.index)
             elif isinstance(s, K.AtomicUpdate):
                 atomics.add(s.buf)
                 if in_loop:
                     looped_atomics.add(s.buf)
+                op("index", None, s.index)
             elif isinstance(s, K.If):
-                visit(s.then, in_loop)
-                visit(s.orelse, in_loop)
+                op("cond", None, s.cond)
+                flatten(s.then, in_loop)
+                flatten(s.orelse, in_loop)
             elif isinstance(s, (K.While, K.UniformWhile)):
-                visit(s.body, True)
-            # Sync / Comment / SStore don't move the verdict
+                op("cond", None, s.cond)
+                flatten(s.body, True)
+            # Sync / Comment don't move the verdict
 
+    def lattices():
+        return (len(tainted), len(blockvar), len(scatter),
+                len(uniform_store), sum(map(len, pdeps.values())))
+
+    flatten(kernel.body, False)
     while True:
-        before = tuple(map(len, (tainted, blockvar, scatter,
-                                 uniform_store, looped_atomics)))
-        visit(kernel.body, False)
-        after = tuple(map(len, (tainted, blockvar, scatter,
-                                uniform_store, looped_atomics)))
-        if after == before:
+        before = lattices()
+        for kind, dst, regs, bx, prm in ops:
+            if kind == "assign":
+                if not tainted.isdisjoint(regs):
+                    tainted.add(dst)
+                if bx or not blockvar.isdisjoint(regs):
+                    blockvar.add(dst)
+                if prm or not pdeps.keys().isdisjoint(regs):
+                    deps = pdeps.setdefault(dst, set())
+                    deps.update(prm)
+                    for r in regs:
+                        if r in pdeps:
+                            deps |= pdeps[r]
+            elif kind == "load":
+                tainted.add(dst)
+            elif kind == "store":
+                if not tainted.isdisjoint(regs):
+                    scatter.add(dst)
+                if not bx and blockvar.isdisjoint(regs):
+                    uniform_store.add(dst)
+        if lattices() == before:
             break
 
+    # over the converged lattices: a condition or an index that reads
+    # loaded data makes the counters data-dependent, and the params it
+    # reads, directly or through registers, are the memo's key params
+    data_dep = False
+    key_params: set[str] = set()
+    for kind, _, regs, _, prm in ops:
+        if kind != "assign":
+            data_dep = data_dep or not tainted.isdisjoint(regs)
+            key_params.update(prm)
+            for r in regs:
+                if r in pdeps:
+                    key_params |= pdeps[r]
+
+    invariant = dict(counters_invariant=not data_dep,
+                     key_params=sorted(key_params))
     rw = sorted((atomics & loaded) | (stored & atomics))
     if rw:
         return BatchSafety(False, f"buffer(s) {rw} mix atomics with plain "
-                                  "accesses (cross-block ordering)")
+                                  "accesses (cross-block ordering)",
+                           **invariant)
     checked = (stored & loaded) | scatter | uniform_store
     return BatchSafety(True, checked_bufs=sorted(checked),
                        looped_atomic_bufs=sorted(looped_atomics),
-                       written_bufs=sorted(stored | atomics))
+                       written_bufs=sorted(stored | atomics), **invariant)
 
 
 class BatchedBlockEnv:
@@ -231,7 +293,7 @@ class BatchedBlockEnv:
         "warp_starts", "nwarps", "warpkey", "block_of", "rows", "block_ids",
         "gmem", "smem", "stats", "params", "block_mask", "trace",
         "block_index", "seg_cache", "kernel_name", "steps",
-        "watchdog_budget", "stuck", "check", "attr",
+        "watchdog_budget", "stuck", "check", "attr", "acct",
     )
 
     def __init__(self, bdx: int, bdy: int, gdx: int, block_ids: np.ndarray,
@@ -277,6 +339,9 @@ class BatchedBlockEnv:
         #: opt-in per-statement AttributionTable (shared with the launch
         #: stats; None = accounting off)
         self.attr = None
+        #: where global-memory transactions are counted: the launch stats,
+        #: or None on a values-only (counter-memo hit) launch
+        self.acct = stats
 
 
 def _warps_per_block(env: BatchedBlockEnv, mask: np.ndarray) -> np.ndarray:
@@ -381,6 +446,7 @@ def _compact_env(env: BatchedBlockEnv, idx: np.ndarray) -> BatchedBlockEnv:
     sub.stuck = env.stuck
     sub.check = env.check
     sub.attr = env.attr
+    sub.acct = env.acct
     return sub
 
 
@@ -509,7 +575,7 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
                 maxread[ci] = np.maximum(rblk, maxread[ci])
             out = env.gmem.load_batched(
                 buf, idx, mask, env.warpkey, env.block_of, env.block_ids,
-                env.stats, reuse=(env.seg_cache, slot), act=act,
+                env.acct, reuse=(env.seg_cache, slot), act=act,
                 act_block=blk, reps=reps)
             if a is not None:
                 r = a.row(sid)
@@ -574,7 +640,7 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
                     raise _BatchHazard(buf)
                 owners[ci] = rblk
             env.gmem.store_batched(
-                buf, idx, val, mask, env.warpkey, env.block_of, env.stats,
+                buf, idx, val, mask, env.warpkey, env.block_of, env.acct,
                 reuse=(env.seg_cache, slot), act=act, act_block=blk,
                 reps=reps)
             if a is not None:
@@ -879,7 +945,8 @@ def run_batched(ck, gmem: GlobalMemory, grid_dim: int,
                 block_dim: tuple[int, int], stats: KernelStats,
                 params: dict, trace: bool, faults, budget: float,
                 stuck: bool, block_batch: int | None,
-                check: dict | None = None) -> KernelStats:
+                check: dict | None = None,
+                count: bool = True) -> KernelStats:
     """Execute a validated launch over block chunks of ``block_batch``.
 
     Called by :meth:`~repro.gpu.executor.CompiledKernel.run` after launch
@@ -887,7 +954,10 @@ def run_batched(ck, gmem: GlobalMemory, grid_dim: int,
     counters are invariant under the chunk size: per-launch state (loop
     ``steps``, the segment-reuse cache keyed by absolute block ids)
     carries across chunks, and the cross-block reuse correction runs once
-    at launch end.
+    at launch end.  ``count=False`` (a counter-memo hit) executes values
+    only: transaction and bank accounting, the segment-reuse bookkeeping
+    and its launch-end correction are skipped, so the memory counters of
+    ``stats`` stay unset.
     """
     bdx, bdy = block_dim
     chunk = int(block_batch) if block_batch and block_batch > 0 \
@@ -897,6 +967,7 @@ def run_batched(ck, gmem: GlobalMemory, grid_dim: int,
         body = ck._batched_body = _compile_block_batched(
             ck.kernel.body, ck.device, _lane_uniform_stmts(ck.kernel),
             ck._slot_sids)
+    acct = stats if count else None
     seg_cache: dict = {}
     steps = 0
     prev_faults = gmem.faults
@@ -909,8 +980,9 @@ def run_batched(ck, gmem: GlobalMemory, grid_dim: int,
             env = BatchedBlockEnv(bdx, bdy, grid_dim, ids, gmem, stats,
                                   params, ck.device.warp_size, trace)
             env.smem = BatchedSharedMemory(
-                ck.device, ck.kernel.shared, stats, len(ids),
+                ck.device, ck.kernel.shared, acct, len(ids),
                 faults=faults, block_ids=ids)
+            env.acct = acct
             env.seg_cache = seg_cache
             env.kernel_name = ck.kernel.name
             env.steps = steps
@@ -930,7 +1002,9 @@ def run_batched(ck, gmem: GlobalMemory, grid_dim: int,
                     maxread.fill(-1)
     finally:
         gmem.faults = prev_faults
-    finalize_segment_reuse(seg_cache, stats, ck.device.transaction_bytes,
-                           attr=stats.attribution,
-                           slot_sids=ck._slot_sids)
+    if count:
+        finalize_segment_reuse(seg_cache, stats,
+                               ck.device.transaction_bytes,
+                               attr=stats.attribution,
+                               slot_sids=ck._slot_sids)
     return stats

@@ -29,7 +29,9 @@ generated code invokes the same
 :meth:`~repro.gpu.memory.GlobalMemory._count_transactions_batched` and
 :meth:`~repro.gpu.memory.SharedMemory._count_banks` the batched closures
 use, with the same per-launch segment-reuse cache and the same
-launch-end :func:`~repro.gpu.memory.finalize_segment_reuse` replay.
+launch-end :func:`~repro.gpu.memory.finalize_segment_reuse` replay.  On
+a counter-memo hit (``E.acct is None``) the helpers skip those calls and
+move data only.
 
 Eligibility (:func:`analyze_trace_safety`) is the batched proof plus "no
 atomics" (``ufunc.at`` ordering is interpreter-level; not worth a second
@@ -322,8 +324,9 @@ def _gload(E, name, buf, idx, m, mi, wk, bf, slot, check) -> None:
         maxread[ci] = np.maximum(bf, maxread[ci])
     gm._check_bounds(buf, act)
     vals = buf.data[act]
-    gm._count_transactions_batched(buf, act, wk, bf, E.stats,
-                                   reuse=(E.seg_cache, slot))
+    if E.acct is not None:
+        gm._count_transactions_batched(buf, act, wk, bf, E.acct,
+                                       reuse=(E.seg_cache, slot))
     if mi is None:
         E.regs[name] = vals.reshape(shp)
     else:
@@ -368,9 +371,10 @@ def _gload_u(E, name, buf, idx, m, mi, wk, bf, slot, check) -> None:
         maxread[ci] = np.maximum(rblk, maxread[ci])
     gm._check_bounds(buf, rep)
     v = buf.data[rep]
-    gm._count_transactions_batched(buf, m, wk, None, E.stats,
-                                   reuse=(E.seg_cache, slot),
-                                   reps=(rep, rblk))
+    if E.acct is not None:
+        gm._count_transactions_batched(buf, m, wk, None, E.acct,
+                                       reuse=(E.seg_cache, slot),
+                                       reps=(rep, rblk))
     out = np.empty(shp, dtype=v.dtype)
     out[...] = v[:, None]
     E.regs[name] = out
@@ -419,9 +423,10 @@ def _gload_w(E, name, buf, idxw, m, full, slot, check, ws) -> None:
         maxread[ci] = np.maximum(rblk, maxread[ci])
     gm._check_bounds(buf, rep)
     vals = buf.data[rep]
-    gm._count_transactions_batched(buf, rep, None, None, E.stats,
-                                   reuse=(E.seg_cache, slot),
-                                   wreps=(rblk, lanes))
+    if E.acct is not None:
+        gm._count_transactions_batched(buf, rep, None, None, E.acct,
+                                       reuse=(E.seg_cache, slot),
+                                       wreps=(rblk, lanes))
     if miw is None:
         out = np.empty(shp, dtype=vals.dtype)
         out.reshape(nb, nw, ws)[...] = vals.reshape(nb, nw)[:, :, None]
@@ -462,8 +467,9 @@ def _gstore(E, buf, idx, val, m, mi, wk, bf, slot, check) -> None:
         sv = np.broadcast_to(sv, shp)
     sv = np.asarray(sv, dtype=buf.dtype.np)
     buf.data[act] = sv.reshape(-1) if mi is None else _act_of(sv, m, mi)
-    gm._count_transactions_batched(buf, act, wk, bf, E.stats,
-                                   reuse=(E.seg_cache, slot))
+    if E.acct is not None:
+        gm._count_transactions_batched(buf, act, wk, bf, E.acct,
+                                       reuse=(E.seg_cache, slot))
 
 
 def _sbounds(name: str, size: int, act: np.ndarray) -> None:
@@ -488,7 +494,8 @@ def _sload(E, name, arr, idx, m, mi, wk, rw) -> None:
     act = idx.reshape(-1) if mi is None else _act_of(idx, m, mi)
     _sbounds(arr, a.shape[1], act)
     vals = a[rw, act]
-    sm._count_banks(arr, act, wk)
+    if sm.stats is not None:
+        sm._count_banks(arr, act, wk)
     if mi is None:
         E.regs[name] = vals.reshape(shp)
     else:
@@ -516,7 +523,8 @@ def _sstore(E, arr, idx, val, m, mi, wk, rw) -> None:
         sv = np.broadcast_to(sv, shp)
     sv = np.asarray(sv, dtype=a.dtype)
     a[rw, act] = sv.reshape(-1) if mi is None else _act_of(sv, m, mi)
-    sm._count_banks(arr, act, wk)
+    if sm.stats is not None:
+        sm._count_banks(arr, act, wk)
 
 
 def _shfl(E, dst, src, delta, ws, m, full) -> None:
@@ -1224,7 +1232,7 @@ def compile_trace_source(src: str):
 def run_trace(ck, gmem: GlobalMemory, grid_dim: int,
               block_dim: tuple[int, int], stats: KernelStats,
               params: dict, budget: float, block_batch: int | None,
-              check: dict | None = None) -> KernelStats:
+              check: dict | None = None, count: bool = True) -> KernelStats:
     """Execute a validated trace-mode launch over block chunks.
 
     Mirrors :func:`~repro.gpu.executor_batched.run_batched`'s chunk
@@ -1234,12 +1242,14 @@ def run_trace(ck, gmem: GlobalMemory, grid_dim: int,
     end) so results and counters are invariant under ``block_batch``.
     Faults, stuck-warp mode, and TraceEvent collection never reach this
     driver — :meth:`~repro.gpu.executor.CompiledKernel.effective_mode`
-    demotes those launches to the batched path.
+    demotes those launches to the batched path.  ``count=False`` (a
+    counter-memo hit) executes values only, as in ``run_batched``.
     """
     bdx, bdy = block_dim
     chunk = int(block_batch) if block_batch and block_batch > 0 \
         else DEFAULT_BLOCK_BATCH
     fn = ck._trace_callable()
+    acct = stats if count else None
     seg_cache: dict = {}
     steps = 0
     for start in range(0, grid_dim, chunk):
@@ -1248,8 +1258,9 @@ def run_trace(ck, gmem: GlobalMemory, grid_dim: int,
         env = BatchedBlockEnv(bdx, bdy, grid_dim, ids, gmem, stats,
                               params, ck.device.warp_size, False)
         env.smem = BatchedSharedMemory(
-            ck.device, ck.kernel.shared, stats, len(ids),
+            ck.device, ck.kernel.shared, acct, len(ids),
             faults=None, block_ids=ids)
+        env.acct = acct
         env.seg_cache = seg_cache
         env.kernel_name = ck.kernel.name
         env.steps = steps
@@ -1268,7 +1279,9 @@ def run_trace(ck, gmem: GlobalMemory, grid_dim: int,
             for owners, maxread in check.values():
                 owners.fill(-1)
                 maxread.fill(-1)
-    finalize_segment_reuse(seg_cache, stats, ck.device.transaction_bytes,
-                           attr=stats.attribution,
-                           slot_sids=ck._trace_slot_sids)
+    if count:
+        finalize_segment_reuse(seg_cache, stats,
+                               ck.device.transaction_bytes,
+                               attr=stats.attribution,
+                               slot_sids=ck._trace_slot_sids)
     return stats

@@ -191,14 +191,10 @@ def launch(kernel: Kernel, gmem: GlobalMemory, *, grid_dim: int,
     if tl is not None:
         tl.span("gpu", f"kernel:{kernel.name}", timing.total_us,
                 grid=grid_dim, block=list(block_dim),
-                executor=ck.effective_mode(mode, grid_dim, gmem, faults,
-                                           trace_events=trace))
+                executor=stats.executor)
     if profiler is not None:
         profiler.record_kernel(kernel.name, stats, timing,
                                grid_dim=grid_dim, block_dim=block_dim,
-                               device=device,
-                               executor=ck.effective_mode(mode, grid_dim,
-                                                          gmem, faults,
-                                                          trace_events=trace),
+                               device=device, executor=stats.executor,
                                kernel=kernel)
     return LaunchReport(kernel=kernel, stats=stats, timing=timing)

@@ -250,6 +250,8 @@ class GlobalMemory:
         representative indices for statically per-block-uniform accesses
         — lets transaction counting skip the per-lane key construction
         entirely (see :meth:`_count_transactions_batched`).
+        ``stats=None`` (a counter-memo hit) moves the data and counts
+        nothing.
         """
         buf = self[name]
         if act is None:
@@ -258,10 +260,11 @@ class GlobalMemory:
         if act.size:
             self._check_bounds(buf, act)
             out[mask] = buf.data[act]
-            if act_block is None and reps is None:
-                act_block = block_of[mask]
-            self._count_transactions_batched(buf, act, warpkey[mask],
-                                             act_block, stats, reuse, reps)
+            if stats is not None:
+                if act_block is None and reps is None:
+                    act_block = block_of[mask]
+                self._count_transactions_batched(
+                    buf, act, warpkey[mask], act_block, stats, reuse, reps)
             if self.faults is not None:
                 for i in np.flatnonzero(mask.any(axis=1)):
                     self.faults.on_gload(name, out[i], mask[i],
@@ -280,7 +283,7 @@ class GlobalMemory:
         Duplicate indices resolve exactly as the reference path: NumPy
         fancy assignment applies positions in (block, thread) order, so
         the highest (block, thread) wins — the same winner as blocks
-        executed one at a time.
+        executed one at a time.  ``stats=None`` counts nothing.
         """
         buf = self[name]
         if act is None:
@@ -289,6 +292,8 @@ class GlobalMemory:
             return
         self._check_bounds(buf, act)
         buf.data[act] = np.asarray(values, dtype=buf.dtype.np)[mask]
+        if stats is None:
+            return
         if act_block is None and reps is None:
             act_block = block_of[mask]
         self._count_transactions_batched(buf, act, warpkey[mask],
@@ -682,11 +687,12 @@ class BatchedSharedMemory(SharedMemory):
     per block of the chunk, so cross-block isolation is structural.  Bank
     accounting reuses :meth:`SharedMemory._count_banks` with
     block-qualified warp keys: per-(block, warp) conflict degrees are
-    computed exactly as the per-block model and summed.
+    computed exactly as the per-block model and summed.  Constructed with
+    ``stats=None`` (a counter-memo hit) it moves data and counts nothing.
     """
 
     def __init__(self, device: DeviceProperties, specs: tuple,
-                 stats: KernelStats, nblocks: int, faults=None,
+                 stats: KernelStats | None, nblocks: int, faults=None,
                  block_ids: np.ndarray | None = None):
         super().__init__(device, specs, stats, faults=faults)
         self.nblocks = nblocks
@@ -707,7 +713,8 @@ class BatchedSharedMemory(SharedMemory):
         act = idx[mask]
         if act.size:
             out[mask] = arr[rows[mask], act]
-            self._count_banks(name, act, warpkey[mask])
+            if self.stats is not None:
+                self._count_banks(name, act, warpkey[mask])
             if self.faults is not None:
                 # the executor may pass row-compacted arrays: mask row i
                 # maps to chunk row rows[i, 0], which indexes block_ids
@@ -725,7 +732,8 @@ class BatchedSharedMemory(SharedMemory):
         if not act.size:
             return
         arr[rows[mask], act] = np.asarray(values, dtype=arr.dtype)[mask]
-        self._count_banks(name, act, warpkey[mask])
+        if self.stats is not None:
+            self._count_banks(name, act, warpkey[mask])
 
     def read_block(self, name: str, row: int) -> np.ndarray:
         """One block's view of a shared array (tests/debugging)."""

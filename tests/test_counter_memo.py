@@ -1,0 +1,408 @@
+"""The counter memo: warm launches reuse the counters of a counted launch.
+
+For a kernel whose counters depend only on its launch shape (the
+``counters_invariant`` verdict of the batch-safety analysis), a repeated
+``trace`` or ``batched`` launch executes values only and returns a copy
+of the first launch's :class:`~repro.gpu.events.KernelStats`.  These
+tests pin the contract from the outside: a memo hit on fresh data gives
+the counters a counted launch of a freshly compiled program gives; data-
+dependent kernels never hit; faults, ``trace``, ``attribution`` and the
+reference executor bypass the memo; and any change of the launch shape
+counts afresh.
+"""
+
+import dataclasses
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from repro import acc
+from repro.dtypes import DType
+from repro.faults import FaultPlan
+from repro.gpu import GlobalMemory, K20C
+from repro.gpu.executor import CompiledKernel
+from repro.gpu.kernelir import (
+    Bin, Const, GLoad, GStore, If, Kernel, Param, Reg, Special, stamp_sids,
+)
+from repro.obs import timeline
+from repro.reduce import api as reduce_api
+from repro.testsuite.cases import generate_cases
+
+FAST_MODES = ("batched", "trace")
+GEOM = dict(num_gangs=8, num_workers=4, vector_length=32)
+
+_SUM_SRC = '''float a[n];
+float total = 0.0;
+#pragma acc parallel copyin(a)
+#pragma acc loop gang worker vector reduction(+:total)
+for (i = 0; i < n; i++)
+    total += a[i];
+'''
+
+_BRANCH_SRC = '''float a[n];
+int cnt = 0;
+#pragma acc parallel copyin(a)
+#pragma acc loop gang worker vector reduction(+:cnt)
+for (i = 0; i < n; i++)
+    if (a[i] > 0.5f) cnt += 1;
+'''
+
+_INDIRECT_SRC = '''float a[n];
+int idx[n];
+float total = 0.0;
+#pragma acc parallel copyin(a, idx)
+#pragma acc loop gang worker vector reduction(+:total)
+for (i = 0; i < n; i++)
+    total += a[idx[i]];
+'''
+
+
+def _stats(res) -> dict:
+    """Every kernel's counters, comparable across programs."""
+    return {name: dataclasses.asdict(st)
+            for name, st in res.kernel_stats.items()}
+
+
+def _counters(res) -> set:
+    return {st.counters for st in res.kernel_stats.values()}
+
+
+def _invariant(prog, name) -> bool:
+    return prog._compiled[name].batch_safety.counters_invariant
+
+
+def _sum_inputs(n, seed):
+    return {"a": np.random.default_rng(seed).random(n).astype(np.float32)}
+
+
+# --------------------------------------------------------------------------
+# identity: memo hit == counted launch, over the whole Table 2 grid
+# --------------------------------------------------------------------------
+
+_CASES = generate_cases(size=512)
+
+
+@pytest.mark.parametrize("mode", FAST_MODES)
+@pytest.mark.parametrize("case", _CASES, ids=[c.label for c in _CASES])
+def test_table2_memo_hit_equals_counted(case, mode):
+    prog = acc.compile(case.source, **GEOM)
+    prog.run(executor_mode=mode, **case.make_inputs(
+        np.random.default_rng(1)))
+    fresh = case.make_inputs(np.random.default_rng(2))
+    hit = prog.run(executor_mode=mode, **fresh)
+    counted = acc.compile(case.source, **GEOM).run(executor_mode=mode,
+                                                   **fresh)
+    assert _counters(counted) == {"counted"}
+    for name, st in hit.kernel_stats.items():
+        if _invariant(prog, name) and st.executor != "reference":
+            assert st.counters == "memo", name
+    assert _stats(hit) == _stats(counted)
+    assert hit.modeled_ms == counted.modeled_ms
+    for name in counted.scalars:
+        assert (np.asarray(hit.scalars[name]).tobytes()
+                == np.asarray(counted.scalars[name]).tobytes())
+
+
+def test_every_table2_kernel_is_counter_invariant():
+    # the grid's reductions index by thread geometry and loop counters
+    # only, so the whole grid is memo-eligible
+    for case in _CASES:
+        prog = acc.compile(case.source, **GEOM)
+        for name in prog._compiled:
+            assert _invariant(prog, name), (case.label, name)
+
+
+# --------------------------------------------------------------------------
+# data-dependent kernels always count
+# --------------------------------------------------------------------------
+
+class TestDataDependentKernels:
+    def _twice(self, prog, mode, inputs_a, inputs_b):
+        first = prog.run(executor_mode=mode, **inputs_a)
+        second = prog.run(executor_mode=mode, **inputs_b)
+        return first, second
+
+    @pytest.mark.parametrize("mode", FAST_MODES)
+    def test_data_dependent_branch(self, mode):
+        prog = acc.compile(_BRANCH_SRC, **GEOM)
+        main = prog.lowered.main_kernel.name
+        assert not _invariant(prog, main)
+        rng = np.random.default_rng(3)
+        a1 = rng.random(1000).astype(np.float32)
+        a2 = rng.random(1000).astype(np.float32)
+        _, second = self._twice(prog, mode, dict(a=a1), dict(a=a2))
+        assert second.kernel_stats[main].counters == "counted"
+        ref = acc.compile(_BRANCH_SRC, **GEOM).run(
+            executor_mode="reference", a=a2)
+        assert _stats(second) == _stats(ref)
+        assert int(second.scalars["cnt"]) == int((a2 > 0.5).sum())
+
+    @pytest.mark.parametrize("mode", FAST_MODES)
+    def test_indirect_index(self, mode):
+        prog = acc.compile(_INDIRECT_SRC, **GEOM)
+        main = prog.lowered.main_kernel.name
+        assert not _invariant(prog, main)
+        rng = np.random.default_rng(4)
+        a = rng.random(1024).astype(np.float32)
+        ident = np.arange(1024, dtype=np.int32)
+        scattered = rng.permutation(1024).astype(np.int32)
+        first, second = self._twice(prog, mode, dict(a=a, idx=ident),
+                                    dict(a=a, idx=scattered))
+        assert second.kernel_stats[main].counters == "counted"
+        # the gather pattern moves the transaction count: a memo would
+        # have served the coalesced launch's counters here
+        assert (first.kernel_stats[main].global_transactions
+                != second.kernel_stats[main].global_transactions)
+        ref = acc.compile(_INDIRECT_SRC, **GEOM).run(
+            executor_mode="reference", a=a, idx=scattered)
+        assert _stats(second) == _stats(ref)
+
+    def test_segmented_atomics(self):
+        vals = np.arange(256, dtype=np.int32)
+        segs = (np.arange(256) % 5).astype(np.int32)
+        with timeline.enabled() as tl:
+            for _ in range(2):
+                out = reduce_api.segmented_reduce(vals, segs, 5)
+            events = [e for e in tl.events("gpu", "decision")
+                      if e.name == "executor-mode"]
+        prog = next(p for key, p in reduce_api._PROGRAMS.items()
+                    if key[0].startswith("int vals[n];")
+                    and "atomic update" in key[0])
+        main = prog.lowered.main_kernel.name
+        assert not _invariant(prog, main)
+        launches = [e for e in events if e.attrs["kernel"] == main]
+        assert len(launches) == 2
+        assert {e.attrs["counters"] for e in launches} == {"counted"}
+        want = np.zeros(5, np.int32)
+        np.add.at(want, segs, vals)
+        np.testing.assert_array_equal(out, want)
+
+
+# --------------------------------------------------------------------------
+# bypasses: faults, trace events, attribution, reference
+# --------------------------------------------------------------------------
+
+class TestBypass:
+    @pytest.fixture
+    def warm(self):
+        """A program whose batched memo already holds this shape."""
+        prog = acc.compile(_SUM_SRC, **GEOM)
+        inputs = _sum_inputs(2048, 5)
+        res = prog.run(executor_mode="batched", **inputs)
+        assert _counters(res) == {"counted"}
+        res = prog.run(executor_mode="batched", **inputs)
+        assert _counters(res) == {"memo"}
+        return prog, inputs, _stats(res)
+
+    def test_faults(self, warm):
+        prog, inputs, want = warm
+        # an armed injector with nothing to inject: the launch counts
+        # anyway, and the counters match the memoized ones
+        res = prog.run(executor_mode="batched", faults=FaultPlan(seed=1),
+                       max_attempts=1, **inputs)
+        assert _counters(res) == {"counted"}
+        assert _stats(res) == want
+
+    def test_trace_events(self, warm):
+        prog, inputs, want = warm
+        res = prog.run(executor_mode="batched", trace=True, **inputs)
+        assert _counters(res) == {"counted"}
+        got = _stats(res)
+        for st in got.values():
+            assert st.pop("trace")
+        for st in want.values():
+            st.pop("trace")
+        assert got == want
+
+    def test_attribution(self, warm):
+        prog, inputs, want = warm
+        res = prog.run(executor_mode="batched", attribution=True, **inputs)
+        assert _counters(res) == {"counted"}
+        for st in res.kernel_stats.values():
+            assert st.attribution is not None and st.attribution.rows
+        got = {name: dict(st, attribution=None)
+               for name, st in _stats(res).items()}
+        assert got == want
+
+    def test_reference_never_memoizes(self):
+        prog = acc.compile(_SUM_SRC, **GEOM)
+        inputs = _sum_inputs(2048, 6)
+        for _ in range(3):
+            res = prog.run(executor_mode="reference", **inputs)
+            assert _counters(res) == {"counted"}
+            assert {st.executor for st in res.kernel_stats.values()} \
+                == {"reference"}
+        for ck in prog._compiled.values():
+            assert not ck._counter_memo
+
+    def test_decision_event_says_why(self, warm):
+        prog, inputs, _ = warm
+        seen = []
+        with timeline.enabled() as tl:
+            for mode in ("batched", "reference"):
+                prog.run(executor_mode=mode, **inputs)
+                seen.append({(e.attrs["mode"], e.attrs["counters"])
+                             for e in tl.drain()
+                             if e.name == "executor-mode"})
+        assert seen == [{("batched", "memo")}, {("reference", "counted")}]
+
+
+# --------------------------------------------------------------------------
+# a different launch shape counts afresh
+# --------------------------------------------------------------------------
+
+def _stride_kernel():
+    """``out[tid] = a[tid * s]`` for ``tid < n`` — counters depend on the
+    params ``s`` and ``n``, the geometry, and the buffer layout."""
+    tid = Special("tid")
+    return stamp_sids(Kernel("strided", (
+        If(Bin("<", tid, Param("n")), (
+            GLoad("v", "a", Bin("*", tid, Param("s"))),
+            GStore("out", tid, Reg("v")),
+        )),
+    ), params=("n", "s", "scale"), buffers=("a", "out")))
+
+
+class TestKeyChanges:
+    def _memory(self, pad: int = 0):
+        g = GlobalMemory(K20C)
+        if pad:
+            g.alloc("pad", pad, DType.FLOAT)
+        g.alloc("a", 4096, DType.FLOAT, init=np.arange(4096))
+        g.alloc("out", 256, DType.FLOAT)
+        return g
+
+    def _oracle(self, grid, block, params, pad=0):
+        return CompiledKernel(_stride_kernel(), K20C).run(
+            self._memory(pad), grid, block, params, mode="reference")
+
+    @pytest.mark.parametrize("mode", FAST_MODES)
+    def test_key_params_and_value_params(self, mode):
+        ck = CompiledKernel(_stride_kernel(), K20C)
+        assert ck.batch_safety.counters_invariant
+        # ``scale`` reaches no condition and no index: not part of the key
+        assert ck.batch_safety.key_params == ("n", "s")
+        base = dict(n=256, s=1, scale=1.0)
+        st = ck.run(self._memory(), 4, (64, 1), base, mode=mode)
+        assert st.counters == "counted"
+        st = ck.run(self._memory(), 4, (64, 1), dict(base, scale=2.0),
+                    mode=mode)
+        assert st.counters == "memo"
+        assert st == self._oracle(4, (64, 1), base)
+        for change in (dict(s=8), dict(n=200)):
+            params = dict(base, **change)
+            st = ck.run(self._memory(), 4, (64, 1), params, mode=mode)
+            assert st.counters == "counted", change
+            assert st == self._oracle(4, (64, 1), params)
+
+    @pytest.mark.parametrize("mode", FAST_MODES)
+    def test_geometry_and_layout(self, mode):
+        ck = CompiledKernel(_stride_kernel(), K20C)
+        params = dict(n=256, s=3, scale=1.0)
+        ck.run(self._memory(), 4, (64, 1), params, mode=mode)
+        for grid, block, pad in ((2, (64, 1), 0), (4, (32, 2), 0),
+                                 (4, (64, 1), 40)):
+            st = ck.run(self._memory(pad), grid, block, params, mode=mode)
+            assert st.counters == "counted", (grid, block, pad)
+            assert st == self._oracle(grid, block, params, pad)
+        st = ck.run(self._memory(40), 4, (64, 1), params, mode=mode)
+        assert st.counters == "memo"
+
+    @pytest.mark.parametrize("mode", FAST_MODES)
+    def test_problem_size(self, mode):
+        prog = acc.compile(_SUM_SRC, **GEOM)
+        prog.run(executor_mode=mode, **_sum_inputs(4096, 7))
+        smaller = _sum_inputs(4000, 8)
+        res = prog.run(executor_mode=mode, **smaller)
+        assert _counters(res) == {"counted"}
+        assert _stats(res) == _stats(acc.compile(_SUM_SRC, **GEOM).run(
+            executor_mode=mode, **smaller))
+
+    def test_memo_is_bounded(self):
+        from repro.gpu.executor import _COUNTER_MEMO_MAX
+
+        ck = CompiledKernel(_stride_kernel(), K20C)
+        for s in range(1, _COUNTER_MEMO_MAX + 4):
+            ck.run(self._memory(), 4, (64, 1), dict(n=256, s=s, scale=0),
+                   mode="batched")
+        assert len(ck._counter_memo) == _COUNTER_MEMO_MAX
+
+
+# --------------------------------------------------------------------------
+# concurrency: the memo is per kernel and per launch, not per process
+# --------------------------------------------------------------------------
+
+def _in_threads(n, fn, timeout=120):
+    """Run ``fn(i)`` on ``n`` threads released together, with a short
+    switch interval so launches interleave; returns their errors."""
+    barrier = threading.Barrier(n)
+    errors = []
+
+    def worker(i):
+        try:
+            barrier.wait()
+            fn(i)
+        except Exception as e:  # surfaced by the caller
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    return errors
+
+
+@pytest.mark.parametrize("mode", FAST_MODES)
+def test_two_threads_share_one_program(mode):
+    prog = acc.compile(_SUM_SRC, **GEOM)
+    inputs = _sum_inputs(4096, 9)
+    want = _stats(acc.compile(_SUM_SRC, **GEOM).run(executor_mode=mode,
+                                                    **inputs))
+    results = []
+
+    def launch(_):
+        for _ in range(4):
+            results.append(prog.run(executor_mode=mode, **inputs))
+
+    assert not _in_threads(2, launch)
+    assert len(results) == 8
+    for res in results:
+        assert _stats(res) == want
+    assert any(_counters(res) == {"memo"} for res in results)
+
+
+def test_threads_evicting_one_memo():
+    # more threads than cores and more launch shapes than memo entries:
+    # concurrent lookups, inserts and evictions must neither raise nor
+    # hand a launch the counters of another shape
+    from repro.gpu.executor import _COUNTER_MEMO_MAX
+
+    ck = CompiledKernel(_stride_kernel(), K20C)
+    strides = range(1, _COUNTER_MEMO_MAX + 5)
+    keys = TestKeyChanges()
+    want = {s: keys._oracle(2, (64, 1), dict(n=256, s=s, scale=0))
+            for s in strides}
+    wrong = []
+
+    def launch(i):
+        for rep in range(20):
+            for s in strides:
+                st = ck.run(keys._memory(), 2, (64, 1),
+                            dict(n=256, s=s, scale=i),
+                            mode=FAST_MODES[(i + rep) % 2])
+                if st != want[s]:
+                    wrong.append((i, s))
+
+    assert not _in_threads(4, launch)
+    assert not wrong
+    assert len(ck._counter_memo) <= _COUNTER_MEMO_MAX
