@@ -244,10 +244,9 @@ class Program:
           first strategy that survives, recording the degradation on the
           result and in ``profiler.metrics``.
 
-        ``executor_mode`` (``"trace"``, ``"batched"`` — the default,
-        unless ``REPRO_EXECUTOR`` names another — or ``"reference"``) and
-        ``block_batch`` select the simulator's executor path for every
-        launch of this run (see
+        ``executor_mode`` (``"trace"``, ``"batched"`` or ``"reference"``)
+        and ``block_batch`` select the simulator's executor path for
+        every launch of this run (see
         :meth:`repro.gpu.executor.CompiledKernel.run`); the three paths
         are pinned bit-identical, so this is a performance knob only.
         Each launch's ``stats.executor`` records the mode it resolved to
@@ -257,7 +256,9 @@ class Program:
         params, same buffer layout, no faults, ``trace`` and
         ``attribution`` off — executes values only and reuses the first
         launch's counters (``stats.counters == "memo"``); ``reference``
-        always counts.
+        always counts.  ``None`` (unless ``REPRO_EXECUTOR`` pins a mode)
+        is the tiered default: counted launches run ``batched``, memo
+        hits of trace-eligible kernels run ``trace``.
 
         ``attribution=True`` fills a per-statement
         :class:`~repro.gpu.events.AttributionTable` on every launch's

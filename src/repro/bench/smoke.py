@@ -17,9 +17,10 @@ the current build, not a ratio against history; gang-position rows
 clear it with margin, and slower rows are recorded honestly).
 
 The ``counter_memo`` section is an identity check, not a timing: on
-each ``table2_quick`` cell, under ``batched`` and ``trace``, a repeated
-launch must hit the counter memo and return exactly the counters,
-modeled ms and results of a counted launch.
+each ``table2_quick`` cell, under ``batched``, ``trace`` and the default
+mode, a repeated launch must hit the counter memo and return exactly the
+counters, modeled ms and results of a counted launch; default-mode hits
+of trace-eligible cells must run ``trace``.
 
 Usage::
 
@@ -210,13 +211,16 @@ def _trace_workload(reps: int) -> dict:
 def _counter_memo_guard() -> dict:
     """Counter-memo identity on the ``table2_quick`` cells (not timed).
 
-    Per cell and fast executor mode, a program's second launch — on
-    fresh seeded inputs, so a memo hit that reused stale *values* would
-    show too — must be served from the counter memo and return the same
-    KernelStats, modeled ms and result bytes as a counted launch of a
-    freshly compiled program.
+    Per cell and executor mode — ``batched``, ``trace`` and the default
+    (``None``) — a program's repeated launch, on fresh seeded inputs so a
+    memo hit that reused stale *values* would show too, must be served
+    from the counter memo and return the same KernelStats, modeled ms
+    and result bytes as a counted launch of a freshly compiled program.
+    A default-mode hit of a trace-eligible cell must also run ``trace``
+    (the tiered default) unless ``REPRO_EXECUTOR`` pins the mode.
     """
     from repro import acc
+    from repro.gpu.executor import _env_mode
     from repro.testsuite.cases import POSITIONS, generate_cases
 
     cases = generate_cases(positions=POSITIONS, ops=("+",),
@@ -225,15 +229,17 @@ def _counter_memo_guard() -> dict:
     rows = []
     for case in cases:
         warm = acc.compile(case.source, **geom)
-        oracle = acc.compile(case.source, **geom)
         fresh = case.make_inputs(np.random.default_rng(43))
-        for mode in ("batched", "trace"):
+        for mode in ("batched", "trace", None):
             warm.run(executor_mode=mode,
                      **case.make_inputs(np.random.default_rng(42)))
             hit = warm.run(executor_mode=mode, **fresh)
-            counted = oracle.run(executor_mode=mode, **fresh)
-            rows.append({
-                "config": f"{case.label} {mode}",
+            # the memo is shared across modes: only a fresh program
+            # counts under every mode
+            counted = acc.compile(case.source, **geom).run(
+                executor_mode=mode, **fresh)
+            row = {
+                "config": f"{case.label} {mode or 'default'}",
                 "memo_hit": all(st.counters == "memo"
                                 for st in hit.kernel_stats.values()),
                 "identical": (
@@ -242,7 +248,14 @@ def _counter_memo_guard() -> dict:
                     and all(np.asarray(hit.scalars[n]).tobytes()
                             == np.asarray(v).tobytes()
                             for n, v in counted.scalars.items())),
-            })
+            }
+            if mode is None:
+                row["executor"] = sorted({st.executor for st in
+                                          hit.kernel_stats.values()})
+                row["expect_trace"] = _env_mode() is None and all(
+                    ck.trace_safety.eligible
+                    for ck in warm._compiled.values())
+            rows.append(row)
     return {
         "cells": rows,
         "all_hit": all(r["memo_hit"] for r in rows),
@@ -569,6 +582,10 @@ def check_against_baseline(current: dict, baseline: dict,
                 failures.append(
                     f"counter_memo: {row['config']}: memo-hit stats, "
                     "modeled ms or results differ from a counted launch")
+            if row.get("expect_trace") and row["executor"] != ["trace"]:
+                failures.append(
+                    f"counter_memo: {row['config']}: a default-mode memo "
+                    f"hit ran {'/'.join(row['executor'])}, not trace")
     pp = current.get("pass_pipeline")
     if pp is not None:
         for row in pp["configs"]:

@@ -21,19 +21,21 @@ executor modes, all pinned bit-identical in results and counters:
 
 * ``"trace"`` — the kernel compiled to generated whole-array NumPy
   source (:mod:`repro.gpu.executor_trace`);
-* ``"batched"`` — the default: closures over a leading block axis, all
-  blocks of a chunk per statement (:mod:`repro.gpu.executor_batched`);
+* ``"batched"`` — closures over a leading block axis, all blocks of a
+  chunk per statement (:mod:`repro.gpu.executor_batched`);
 * ``"reference"`` — this module's one-block-at-a-time closures.
 
-Select one with ``CompiledKernel.run(..., mode=...)``.
+Pin one with ``CompiledKernel.run(..., mode=...)`` or ``REPRO_EXECUTOR``.
 
 Counter memo: when the static analysis proves a kernel's counters
-data-independent, a ``trace`` or ``batched`` launch whose shape (mode,
-geometry, the params that reach a condition or an index, and the buffer
-layout) matches an earlier counted launch runs values only and returns a
-copy of that launch's :class:`~repro.gpu.events.KernelStats`.  The
-reference executor always counts: it is the oracle the memo is checked
-against.
+data-independent, a ``trace`` or ``batched`` launch whose shape
+(geometry, the params that reach a condition or an index, and the
+buffer layout) matches an earlier counted launch of either mode runs
+values only and returns a copy of that launch's
+:class:`~repro.gpu.events.KernelStats`.  The reference executor always
+counts: it is the oracle the memo is checked against.  The unpinned
+default is tiered on the memo: a counted launch runs ``batched``, a
+memo hit of a trace-eligible kernel runs ``trace``.
 """
 
 from __future__ import annotations
@@ -650,17 +652,24 @@ def _compile_block(stmts: tuple, device: DeviceProperties,
 _EXECUTOR_MODES = ("trace", "batched", "reference")
 
 
+def _env_mode() -> str | None:
+    """The mode ``REPRO_EXECUTOR`` pins, or None.  Unrecognized values
+    are ignored rather than raised so an exported stale variable cannot
+    break every launch in the process."""
+    m = os.environ.get("REPRO_EXECUTOR", "").strip().lower()
+    return m if m in _EXECUTOR_MODES else None
+
+
 def _default_mode() -> str:
     """The executor mode a ``mode=None`` launch resolves to.
 
-    ``REPRO_EXECUTOR`` (``trace`` / ``batched`` / ``reference``) overrides
-    the built-in default of ``"batched"`` — the CI matrix uses it to run
-    the whole tier-1 suite per executor.  Unrecognized values are ignored
-    rather than raised so an exported stale variable cannot break every
-    launch in the process.
+    ``REPRO_EXECUTOR`` (``trace`` / ``batched`` / ``reference``) pins it
+    — the CI matrix uses it to run the whole tier-1 suite per executor.
+    Unpinned, the default is tiered: it resolves to ``"batched"``, and
+    :meth:`CompiledKernel.run` moves a launch served from the counter
+    memo to ``"trace"`` when the kernel is trace-eligible.
     """
-    m = os.environ.get("REPRO_EXECUTOR", "").strip().lower()
-    return m if m in _EXECUTOR_MODES else "batched"
+    return _env_mode() or "batched"
 
 
 #: counter-memo entries kept per kernel (launch shapes, LRU): iterative
@@ -795,11 +804,13 @@ class CompiledKernel:
                 return "reference"
         return "batched"
 
-    def _memo_key(self, mode: str, gmem: GlobalMemory, grid_dim: int,
+    def _memo_key(self, gmem: GlobalMemory, grid_dim: int,
                   bdx: int, bdy: int, params: dict) -> tuple:
-        """What a memoized launch must match: the resolved mode, the
-        geometry, the values of the params that reach a condition or an
-        index, and the layout of every kernel buffer."""
+        """What a memoized launch must match: the geometry, the values of
+        the params that reach a condition or an index, and the layout of
+        every kernel buffer.  Not the mode: ``trace`` and ``batched``
+        count bit-identically, so either one's counted launch serves the
+        other's hits."""
         layout = []
         for b in self.kernel.buffers:
             # a missing buffer keys as None; the launch then raises
@@ -810,7 +821,7 @@ class CompiledKernel:
         # condition differently (-0.0 vs 0.0, int vs float) apart
         values = tuple((type(v), repr(v)) for v in
                        map(params.get, self.batch_safety.key_params))
-        return (mode, grid_dim, bdx, bdy, values, tuple(layout))
+        return (grid_dim, bdx, bdy, values, tuple(layout))
 
     def run(self, gmem: GlobalMemory, grid_dim: int, block_dim: tuple[int, int],
             params: dict | None = None, trace: bool = False, *,
@@ -824,11 +835,16 @@ class CompiledKernel:
 
         * ``"trace"`` — the kernel runs as generated whole-array NumPy
           source (see :mod:`repro.gpu.executor_trace`);
-        * ``"batched"`` (the default for ``None``, overridable with the
-          ``REPRO_EXECUTOR`` environment variable) — all blocks of a
-          chunk advance through each statement in one NumPy operation
-          (see :mod:`repro.gpu.executor_batched`);
-        * ``"reference"`` — one block at a time, the original executor.
+        * ``"batched"`` — all blocks of a chunk advance through each
+          statement in one NumPy operation (see
+          :mod:`repro.gpu.executor_batched`);
+        * ``"reference"`` — one block at a time, the original executor;
+        * ``None`` — the ``REPRO_EXECUTOR`` mode if that environment
+          variable names one, else the tiered default: ``"batched"``
+          for a launch that counts, ``"trace"`` for a counter-memo hit
+          of a trace-eligible kernel (a kernel launched once never pays
+          the trace compile; warm launches run the generated code with
+          its count-only lines skipped).
 
         ``block_batch`` bounds the chunk size of the first two (default
         :data:`~repro.gpu.executor_batched.DEFAULT_BLOCK_BATCH`).  All
@@ -845,9 +861,10 @@ class CompiledKernel:
         counters are data-independent
         (:attr:`~repro.gpu.executor_batched.BatchSafety.counters_invariant`),
         with no armed fault injector, ``trace`` and ``attribution`` off, is
-        keyed on its mode, ``grid_dim``, ``block_dim``, the values of the
+        keyed on its ``grid_dim``, ``block_dim``, the values of the
         params that reach a condition or an index, and the
-        ``(base, size, dtype)`` of every kernel buffer.  The first launch
+        ``(base, size, dtype)`` of every kernel buffer — not on the mode:
+        either fast mode's counted launch serves both.  The first launch
         of a key counts and is remembered (a few keys per kernel); a
         later launch with the same key executes values only — bounds
         checks, the watchdog and the cross-block hazard checks still run,
@@ -886,6 +903,8 @@ class CompiledKernel:
         faults = _armed(faults)
         if grid_dim < 1:
             raise SimulationError(f"grid_dim must be >= 1, got {grid_dim}")
+        # an unpinned launch may tier up to trace on a memo hit
+        tiered = mode is None and _env_mode() is None
         if mode is None:
             mode = _default_mode()
         if mode not in _EXECUTOR_MODES:
@@ -900,16 +919,23 @@ class CompiledKernel:
         if (mode != "reference" and faults is None and not trace
                 and not attribution
                 and self.batch_safety.counters_invariant):
-            memo_key = self._memo_key(mode, gmem, grid_dim, bdx, bdy, params)
+            memo_key = self._memo_key(gmem, grid_dim, bdx, bdy, params)
             with self._memo_lock:
                 memo = self._counter_memo.get(memo_key)
                 if memo is not None:
                     self._counter_memo.move_to_end(memo_key)
+        fallback = mode != requested
+        if (memo is not None and tiered and mode == "batched"
+                and self.trace_safety.eligible):
+            # values only: the generated code with its count-only lines
+            # skipped; counted launches stay batched, so a kernel launched
+            # once never pays the trace compile
+            mode = "trace"
         tl = _timeline.current()
         if tl is not None:
             tl.decision("gpu", "executor-mode", kernel=self.kernel.name,
                         requested=requested, mode=mode, grid=grid_dim,
-                        fallback=(mode != requested),
+                        fallback=fallback,
                         counters="counted" if memo is None else "memo")
         if faults is not None:
             faults.on_launch(self.kernel.name)  # may raise KernelLaunchError

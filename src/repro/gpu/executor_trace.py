@@ -16,11 +16,15 @@ code buys over the closure interpreter:
   fast path that skips the warp ``reduceat`` bookkeeping entirely;
 * the per-region active-lane gathers (``mi``/``warpkey``/``block``/
   ``rows``) are hoisted to the region prologue and shared by every
-  memory access in the region — and skipped outright while the region
-  mask is full;
+  memory access in the region — skipped outright while the region mask
+  is full, and the block ids / warp keys derived only where a hazard
+  check or the counters read them;
 * counter updates (``KernelStats`` / ``StmtCounters``) are emitted
   inline per region with the enclosing region's precomputed active-warp
-  totals, exactly mirroring the batched closures' arithmetic.
+  totals, exactly mirroring the batched closures' arithmetic.  Every
+  line whose only consumer is a counter sits behind one per-launch flag
+  (``CNT = E.acct is not None``), so the same source runs counted or
+  values-only.
 
 Bit-identity is the contract, not a goal: results, every KernelStats
 counter, and attribution tables must match the reference and batched
@@ -30,8 +34,9 @@ generated code invokes the same
 :meth:`~repro.gpu.memory.SharedMemory._count_banks` the batched closures
 use, with the same per-launch segment-reuse cache and the same
 launch-end :func:`~repro.gpu.memory.finalize_segment_reuse` replay.  On
-a counter-memo hit (``E.acct is None``) the helpers skip those calls and
-move data only.
+a counter-memo hit (``E.acct is None``) the generated code skips its
+``CNT`` lines and the helpers skip those calls: the launch moves data
+only.
 
 Eligibility (:func:`analyze_trace_safety`) is the batched proof plus "no
 atomics" (``ufunc.at`` ordering is interpreter-level; not worth a second
@@ -291,11 +296,29 @@ def _param(E, name: str):
             f"kernel parameter {name!r} not bound at launch") from None
 
 
-def _attr_global(row, st, g0, l0, b0, d0):
-    row.global_transactions += st.global_transactions - g0
-    row.l2_transactions += st.l2_transactions - l0
-    row.global_bytes += st.global_bytes - b0
-    row.dram_bytes += st.dram_bytes - d0
+def _arow(attr, sid, execs, lanes, slots):
+    """Attribution row ``sid``, charged one execution of its statement."""
+    row = attr.row(sid)
+    row.execs += execs
+    row.lanes += lanes
+    row.warp_slots += slots
+    return row
+
+
+#: the memory counters an access's attribution row takes as deltas
+_MEM_COUNTERS = ("global_transactions", "l2_transactions", "global_bytes",
+                 "dram_bytes", "shared_accesses", "bank_conflict_extra")
+
+
+def _snap(st) -> tuple:
+    """The memory counters just before one access."""
+    return tuple(getattr(st, f) for f in _MEM_COUNTERS)
+
+
+def _attr_mem(row, st, before: tuple) -> None:
+    """Charge one access's memory-counter deltas to its attribution row."""
+    for f, b in zip(_MEM_COUNTERS, before):
+        setattr(row, f, getattr(row, f) + getattr(st, f) - b)
 
 
 def _act_of(idx: np.ndarray, m: np.ndarray, mi) -> np.ndarray:
@@ -303,6 +326,19 @@ def _act_of(idx: np.ndarray, m: np.ndarray, mi) -> np.ndarray:
     if idx.flags["C_CONTIGUOUS"]:
         return idx.reshape(-1).take(mi)
     return idx[m]
+
+
+def _wk(E, mi) -> np.ndarray:
+    """Block-qualified warp key of each active lane (the transaction and
+    bank counters group lanes by it; ``E.warpkey`` is C-contiguous)."""
+    w = E.warpkey.reshape(-1)
+    return w if mi is None else w.take(mi)
+
+
+def _lanes_of(col: np.ndarray, mi, n: int) -> np.ndarray:
+    """A per-row column (block id, shared-memory row) spread to the
+    active lanes — all ``n`` lanes of every row when ``mi`` is None."""
+    return np.repeat(col, n) if mi is None else col.take(mi // n)
 
 
 def _gload(E, name, buf, idx, m, mi, wk, bf, slot, check) -> None:
@@ -545,6 +581,8 @@ def _shfl(E, dst, src, delta, ws, m, full) -> None:
 
 
 def _sync(E, m, aws, row) -> None:
+    """Barrier: the divergence check always runs; the counters only on
+    a counted launch (``aws`` is None on a values-only one)."""
     anyb = m.any(axis=1)
     allb = m.all(axis=1)
     partial = anyb & ~allb
@@ -554,6 +592,8 @@ def _sync(E, m, aws, row) -> None:
             "__syncthreads() executed under divergent control flow "
             f"({int(m[bad].sum())}/{m.shape[1]} threads active)"
         )
+    if aws is None:
+        return
     E.stats.barriers += int(anyb.sum())
     E.stats.warp_inst_slots += aws
     if row is not None:
@@ -587,11 +627,12 @@ _BASE_GLOBALS = {
     "DT_f32": np.dtype(np.float32), "DT_f64": np.dtype(np.float64),
     "DT_b": np.dtype(np.bool_),
     "_bc": _bc, "_fresh": _fresh, "_full": _full, "_massign": _massign,
-    "_cast": _cast, "_param": _param, "_attr_global": _attr_global,
+    "_cast": _cast, "_param": _param, "_arow": _arow,
+    "_snap": _snap, "_attr_mem": _attr_mem,
     "_gload": _gload, "_gload_u": _gload_u, "_gload_w": _gload_w,
     "_gstore": _gstore,
     "_sload": _sload, "_sstore": _sstore, "_shfl": _shfl, "_sync": _sync,
-    "_flat": np.flatnonzero,
+    "_flat": np.flatnonzero, "_wk": _wk, "_lanes_of": _lanes_of,
     "_compact_env": _compact_env, "_expand_env": _expand_env,
     "_warps_per_block": _warps_per_block, "_watchdog_trip": _watchdog_trip,
 }
@@ -625,14 +666,11 @@ _SPECIAL_NAMES = {
 #: a full-mask assign can bind them without a defensive copy
 _OWNED_ROOTS = (K.Bin, K.Un, K.Call, K.Select)
 
-#: lines re-binding the chunk-shape locals after a compaction or an
+#: the line re-binding the chunk-shape locals after a compaction or an
 #: expansion changed ``E`` (R is the same dict *object* only until
-#: ``_compact_env`` clones it, so it must be re-fetched too)
-_RECOMPUTE = (
-    "R = E.regs; SHP = E.block_mask.shape; NB = SHP[0]",
-    "WKr = E.warpkey.reshape(-1); BFr = E.block_of.reshape(-1)",
-    "RWr = E.rows.reshape(-1); BX = E.bx",
-)
+#: ``_compact_env`` clones it, so it must be re-fetched too).  Per-lane
+#: id arrays are not re-bound here: regions derive them from ``mi``.
+_RECOMPUTE = "R = E.regs; SHP = E.block_mask.shape; NB = SHP[0]; BX = E.bx"
 
 
 # --------------------------------------------------------------------------
@@ -643,8 +681,10 @@ class _Region:
     """Names of one branch region's per-region variables in the
     generated source.  ``f`` is the runtime full-mask flag expression
     (``"True"`` at top level), ``aw``/``aws`` the active-warp vector and
-    total of the region, ``mi``/``wk``/``bf``/``rw`` the lazily-emitted
-    active-lane gathers, ``eb``/``el`` the attribution block/lane counts
+    total of the region (bound only on a counted launch, ``CNT``),
+    ``mi``/``wk``/``bf``/``rw`` the lazily-emitted active-lane gathers
+    (``wk`` None unless counted, ``bf`` None unless counted or
+    hazard-checked), ``eb``/``el`` the attribution block/lane counts
     (defined only under an ``A is not None`` guard)."""
 
     __slots__ = ("m", "f", "aw", "aws", "mi", "wk", "bf", "rw", "eb", "el")
@@ -744,45 +784,41 @@ class _Emitter:
     # -- regions ----------------------------------------------------------
 
     def region_prologue(self, r: _Region, stmts: tuple) -> None:
-        need_g = any(isinstance(s, (K.GLoad, K.GStore)) for s in stmts)
+        gmem = [s for s in stmts if isinstance(s, (K.GLoad, K.GStore))]
         need_s = any(isinstance(s, (K.SLoad, K.SStore)) for s in stmts)
         need_attr = any(not isinstance(s, (K.Comment, K.Sync))
                         for s in stmts)
         # when every memory statement of the region takes the
         # warp-representative path, the per-lane gathers are dead weight
         # on the WOK path — emit them only for the fallback layout
-        wonly = need_g and not need_s and all(
+        wonly = bool(gmem) and not need_s and all(
             isinstance(s, K.GLoad) and id(s) in self.warp_ids
-            for s in stmts if isinstance(s, (K.GLoad, K.GStore)))
-        if need_g or need_s:
+            for s in gmem)
+        if gmem or need_s:
             u = self.fresh()
             r.mi, r.wk = f"mi{u}", f"wk{u}"
-            gather_full = [f"{r.mi} = None", f"{r.wk} = WKr"]
-            gather_part = [f"{r.mi} = _flat({r.m}.reshape(-1))",
-                           f"{r.wk} = WKr.take({r.mi})"]
-            if need_g:
-                r.bf = f"bf{u}"
-                gather_full.append(f"{r.bf} = BFr")
-                gather_part.append(f"{r.bf} = BFr.take({r.mi})")
-            if need_s:
-                r.rw = f"rw{u}"
-                gather_full.append(f"{r.rw} = RWr")
-                gather_part.append(f"{r.rw} = RWr.take({r.mi})")
             if wonly:
                 self.used_wok = True
                 self.w("if not WOK:")
                 self.ind += 1
-            if r.f == "True":
-                self.w("; ".join(gather_full))
-            else:
-                self.w(f"if {r.f}:")
-                self.ind += 1
-                self.w("; ".join(gather_full))
-                self.ind -= 1
-                self.w("else:")
-                self.ind += 1
-                self.w("; ".join(gather_part))
-                self.ind -= 1
+            self.w(f"{r.mi} = None" if r.f == "True" else
+                   f"{r.mi} = None if {r.f} else _flat({r.m}.reshape(-1))")
+            self.w(f"{r.wk} = _wk(E, {r.mi}) if CNT else None")
+            if gmem:
+                # block ids feed only the hazard check and the counters
+                need = " or ".join(["CNT"] + [
+                    f"CK_{b} is not None"
+                    for b in sorted({s.buf for s in gmem})])
+                if all(isinstance(s, K.GLoad) and id(s) in self.uniform_ids
+                       for s in gmem):
+                    # per-block-uniform loads need them on partial masks
+                    need = f"{r.mi} is not None and ({need})"
+                r.bf = f"bf{u}"
+                self.w(f"{r.bf} = _lanes_of(E.block_ids, {r.mi}, SHP[1]) "
+                       f"if {need} else None")
+            if need_s:
+                r.rw = f"rw{u}"
+                self.w(f"{r.rw} = _lanes_of(E.rows[:, 0], {r.mi}, SHP[1])")
             if wonly:
                 self.ind -= 1
         if need_attr:
@@ -810,13 +846,29 @@ class _Emitter:
             self.stmt(s, r)
 
     def attr_row(self, r: _Region, sid: int, extra: tuple = ()) -> None:
-        """The standard execs/lanes/warp_slots attribution block."""
+        """The standard execs/lanes/warp_slots attribution block (an
+        attribution launch is always a counted one: ``A`` implies
+        ``CNT``)."""
         self.w("if A is not None:")
         self.ind += 1
-        self.w(f"_r = A.row({sid}); _r.execs += {r.eb}; "
-               f"_r.lanes += {r.el}; _r.warp_slots += {r.aws}")
+        self.w(f"_r = _arow(A, {sid}, {r.eb}, {r.el}, {r.aws})")
         for line in extra:
             self.w(line)
+        self.ind -= 1
+
+    def count(self, r: _Region, sid: int | None = None, extra: tuple = (),
+              pre: tuple = ()) -> None:
+        """One statement's counter updates behind the per-launch ``CNT``
+        guard: its warp slots, then the raw ``pre`` lines (e.g. the
+        attribution snapshots taken before an access), then, given a
+        ``sid``, its attribution row."""
+        self.w("if CNT:")
+        self.ind += 1
+        self.w(f"ST.warp_inst_slots += {r.aws}")
+        for line in pre:
+            self.w(line)
+        if sid is not None:
+            self.attr_row(r, sid, extra)
         self.ind -= 1
 
     # -- statements -------------------------------------------------------
@@ -849,8 +901,7 @@ class _Emitter:
 
     def emit_assign(self, s: K.Assign, r: _Region) -> None:
         u = self.fresh()
-        self.w(f"ST.warp_inst_slots += {r.aws}")
-        self.attr_row(r, s.sid)
+        self.count(r, s.sid)
         self.w(f"v{u} = {self.expr(s.value)}")
         own = "_full" if isinstance(s.value, _OWNED_ROOTS) else "_fresh"
         if r.f == "True":
@@ -865,20 +916,16 @@ class _Emitter:
             self.w(f"_massign(E, {s.dst!r}, v{u}, {r.m})")
             self.ind -= 1
 
-    def _global_pre(self) -> None:
-        self.w("if A is not None:")
-        self.ind += 1
-        self.w("_g0 = ST.global_transactions; _l0 = ST.l2_transactions")
-        self.w("_b0 = ST.global_bytes; _d0 = ST.dram_bytes")
-        self.ind -= 1
+    #: attribution of a memory access: counter snapshot before, deltas after
+    _MEM_PRE = ("if A is not None:", "    _m0 = _snap(ST)")
+    _MEM_ATTR = ("_attr_mem(_r, ST, _m0)",)
 
     def emit_gload(self, s: K.GLoad, r: _Region) -> None:
         u = self.fresh()
         slot = self.alloc_slot(s.sid)
         self.bufs.add(s.buf)
         helper = "_gload_u" if id(s) in self.uniform_ids else "_gload"
-        self.w(f"ST.warp_inst_slots += {r.aws}")
-        self._global_pre()
+        self.count(r, pre=self._MEM_PRE)
         if id(s) in self.warp_ids:
             # warp-representative path, guarded on the runtime layout
             # condition that makes ``ty`` warp-uniform
@@ -900,85 +947,71 @@ class _Emitter:
             self.w(f"ix{u} = {self.expr(s.index)}")
             self.w(f"{helper}(E, {s.dst!r}, B_{s.buf}, ix{u}, {r.m}, "
                    f"{r.mi}, {r.wk}, {r.bf}, {slot}, CK_{s.buf})")
-        self.attr_row(r, s.sid,
-                      ("_attr_global(_r, ST, _g0, _l0, _b0, _d0)",))
+        self.attr_row(r, s.sid, self._MEM_ATTR)
 
     def emit_gstore(self, s: K.GStore, r: _Region) -> None:
         u = self.fresh()
         slot = self.alloc_slot(s.sid)
         self.bufs.add(s.buf)
-        self.w(f"ST.warp_inst_slots += {r.aws}")
-        self._global_pre()
+        self.count(r, pre=self._MEM_PRE)
         self.w(f"ix{u} = {self.expr(s.index)}")
         self.w(f"v{u} = {self.expr(s.value)}")
         self.w(f"_gstore(E, B_{s.buf}, ix{u}, v{u}, {r.m}, {r.mi}, "
                f"{r.wk}, {r.bf}, {slot}, CK_{s.buf})")
-        self.attr_row(r, s.sid,
-                      ("_attr_global(_r, ST, _g0, _l0, _b0, _d0)",))
-
-    def _shared_pre(self) -> None:
-        self.w("if A is not None:")
-        self.ind += 1
-        self.w("_s0 = ST.shared_accesses; _c0 = ST.bank_conflict_extra")
-        self.ind -= 1
-
-    _SHARED_ATTR = (
-        "_r.shared_accesses += ST.shared_accesses - _s0",
-        "_r.bank_conflict_extra += ST.bank_conflict_extra - _c0",
-    )
+        self.attr_row(r, s.sid, self._MEM_ATTR)
 
     def emit_sload(self, s: K.SLoad, r: _Region) -> None:
         u = self.fresh()
-        self.w(f"ST.warp_inst_slots += {r.aws}")
-        self._shared_pre()
+        self.count(r, pre=self._MEM_PRE)
         self.w(f"ix{u} = {self.expr(s.index)}")
         self.w(f"_sload(E, {s.dst!r}, {s.arr!r}, ix{u}, {r.m}, {r.mi}, "
                f"{r.wk}, {r.rw})")
-        self.attr_row(r, s.sid, self._SHARED_ATTR)
+        self.attr_row(r, s.sid, self._MEM_ATTR)
 
     def emit_sstore(self, s: K.SStore, r: _Region) -> None:
         u = self.fresh()
-        self.w(f"ST.warp_inst_slots += {r.aws}")
-        self._shared_pre()
+        self.count(r, pre=self._MEM_PRE)
         self.w(f"ix{u} = {self.expr(s.index)}")
         self.w(f"v{u} = {self.expr(s.value)}")
         self.w(f"_sstore(E, {s.arr!r}, ix{u}, v{u}, {r.m}, {r.mi}, "
                f"{r.wk}, {r.rw})")
-        self.attr_row(r, s.sid, self._SHARED_ATTR)
+        self.attr_row(r, s.sid, self._MEM_ATTR)
 
     def emit_if(self, s: K.If, r: _Region) -> None:
         u = self.fresh()
         mt, me = f"m{u}t", f"m{u}e"
         ft = f"f{u}t"
         awt, awst = f"aw{u}t", f"aws{u}t"
-        self.w(f"ST.warp_inst_slots += {r.aws}")
         self.w(f"c{u} = _bc(TRU(ASR({self.expr(s.cond)})), {r.m}.shape)")
         # all-true fast path: the then-region inherits the parent region
         # wholesale and the warp reduceats are skipped (d is 0 in the
         # reference executor too: no else-side warps exist)
         self.w(f"if bool(c{u}.all()):")
         self.ind += 1
-        self.w(f"{mt} = {r.m}; {ft} = {r.f}; {awt} = {r.aw}; "
-               f"{awst} = {r.aws}; {me} = None; d{u} = 0")
+        self.w(f"{mt} = {r.m}; {ft} = {r.f}; {me} = None")
+        self.w("if CNT:")
+        self.w(f"    {awt} = {r.aw}; {awst} = {r.aws}; d{u} = 0")
         self.ind -= 1
         self.w("else:")
         self.ind += 1
-        self.w(f"{mt} = {r.m} & c{u}")
-        self.w(f"{me} = {r.m} & ~c{u}")
+        self.w(f"{mt} = {r.m} & c{u}; {me} = {r.m} & ~c{u}; {ft} = False")
+        # the warp-level split only feeds the counters
+        self.w("if CNT:")
+        self.ind += 1
         self.w(f"t{u} = RED({mt}, E.warp_starts, axis=1) > 0")
         self.w(f"e{u} = RED({me}, E.warp_starts, axis=1) > 0")
         self.w(f"d{u} = int((t{u} & e{u}).sum())")
-        self.w(f"{awt} = t{u}.sum(axis=1); {awst} = int({awt}.sum()); "
-               f"{ft} = False")
-        self.ind -= 1
-        self.w(f"ST.divergent_branches += d{u}")
-        self.attr_row(r, s.sid, (f"_r.divergence_splits += d{u}",))
+        self.w(f"{awt} = t{u}.sum(axis=1); {awst} = int({awt}.sum())")
+        self.ind -= 2
+        self.count(r, s.sid, (f"_r.divergence_splits += d{u}",),
+                   pre=(f"ST.divergent_branches += d{u}",))
         self.branch_region(s.then, mt, ft, awt, awst, f"{u}t")
         if s.orelse:
             awe, awse = f"aw{u}e", f"aws{u}e"
             self.w(f"if {me} is not None and {me}.any():")
             self.ind += 1
-            self.w(f"{awe} = e{u}.sum(axis=1); {awse} = int({awe}.sum())")
+            self.w("if CNT:")
+            self.w(f"    {awe} = e{u}.sum(axis=1); {awse} = int({awe}.sum())")
             self.w(f"f{u}e = bool({me}.all())")
             self.branch_region(s.orelse, me, f"f{u}e", awe, awse,
                                f"{u}e", guarded=True)
@@ -1009,17 +1042,15 @@ class _Emitter:
         self.ind += 1
         self.w(f"{ix} = _flat({lv}); {px} = E")
         self.w(f"E = _compact_env(E, {ix})")
-        self.w(f"{m} = {m}[{ix}]; {aw} = np.asarray({aw})[{ix}]")
-        self.w(f"{f} = bool({m}.all())")
-        for line in _RECOMPUTE:
-            self.w(line)
+        self.w(f"{m} = {m}[{ix}]; {f} = bool({m}.all())")
+        self.w(f"{aw} = np.asarray({aw})[{ix}] if CNT else None")
+        self.w(_RECOMPUTE)
         self.ind -= 1
         self.block(stmts, _Region(m, f, aw, aws))
         self.w(f"if {cp}:")
         self.ind += 1
         self.w(f"_expand_env({px}, E, {ix}); E = {px}")
-        for line in _RECOMPUTE:
-            self.w(line)
+        self.w(_RECOMPUTE)
         self.ind -= 1
         if not guarded:
             self.ind -= 1
@@ -1030,16 +1061,9 @@ class _Emitter:
         cond = self.expr(s.cond)
         self.w(f"c{u} = _bc(TRU(ASR({cond})), {r.m}.shape)")
         self.w(f"{mw} = {r.m} & c{u}")
-        self.w(f"ST.warp_inst_slots += {r.aws}")
-        self.w("if A is not None:")
-        self.ind += 1
-        self.w(f"_r{u} = A.row({s.sid}); _r{u}.execs += {r.eb}; "
-               f"_r{u}.lanes += {r.el}; _r{u}.warp_slots += {r.aws}")
-        self.ind -= 1
-        self.w("else:")
-        self.ind += 1
-        self.w(f"_r{u} = None")
-        self.ind -= 1
+        self.count(r, pre=(
+            "if A is not None:",
+            f"    _r{u} = _arow(A, {s.sid}, {r.eb}, {r.el}, {r.aws})"))
         self.w(f"stk{u} = []")
         self.w(f"lv{u} = {mw}.any(axis=1)")
         self.w(f"lc{u} = int(lv{u}.sum())")
@@ -1051,8 +1075,7 @@ class _Emitter:
         self.w(f"stk{u}.append((E, ix_))")
         self.w("E = _compact_env(E, ix_)")
         self.w(f"{mw} = {mw}[ix_]")
-        for line in _RECOMPUTE:
-            self.w(line)
+        self.w(_RECOMPUTE)
         self.ind -= 1
         self.w(f"E.steps += lc{u}")
         self.w("if E.steps > E.watchdog_budget:")
@@ -1062,6 +1085,8 @@ class _Emitter:
         self.w(f"f{u}b = bool({mw}.all())")
         # a full body mask means every warp of every row is active:
         # _warps_per_block would reduceat to a constant nwarps vector
+        self.w("if CNT:")
+        self.ind += 1
         self.w(f"if f{u}b:")
         self.ind += 1
         self.w(f"aw{u}b = np.full({mw}.shape[0], E.nwarps, dtype=np.int64)")
@@ -1071,15 +1096,13 @@ class _Emitter:
         self.ind += 1
         self.w(f"aw{u}b = _warps_per_block(E, {mw})")
         self.w(f"aws{u}b = int(aw{u}b.sum())")
-        self.ind -= 1
-        self.block(s.body, _Region(mw, f"f{u}b", f"aw{u}b", f"aws{u}b"))
+        self.ind -= 2
+        body = _Region(mw, f"f{u}b", f"aw{u}b", f"aws{u}b")
+        self.block(s.body, body)
         self.w(f"c{u} = _bc(TRU(ASR({cond})), {mw}.shape)")
         self.w(f"{mw} = {mw} & c{u}")
-        self.w(f"ST.warp_inst_slots += aws{u}b")
-        self.w(f"if _r{u} is not None:")
-        self.ind += 1
-        self.w(f"_r{u}.warp_slots += aws{u}b")
-        self.ind -= 1
+        self.count(body, pre=("if A is not None:",
+                              f"    _r{u}.warp_slots += aws{u}b"))
         self.w(f"lv{u} = {mw}.any(axis=1)")
         self.w(f"lc{u} = int(lv{u}.sum())")
         self.ind -= 1
@@ -1089,22 +1112,15 @@ class _Emitter:
         u = self.fresh()
         mw, aww = f"m{u}w", f"aw{u}w"
         cond = self.expr(s.cond)
-        self.w(f"ST.warp_inst_slots += {r.aws}")
         self.w(f"lv{u} = {r.m}.any(axis=1)")
-        self.w("if A is not None:")
-        self.ind += 1
-        self.w(f"_r{u} = A.row({s.sid}); _r{u}.execs += int(lv{u}.sum()); "
-               f"_r{u}.lanes += {r.el}; _r{u}.warp_slots += {r.aws}")
-        self.ind -= 1
-        self.w("else:")
-        self.ind += 1
-        self.w(f"_r{u} = None")
-        self.ind -= 1
+        self.count(r, pre=(
+            "if A is not None:",
+            f"    _r{u} = _arow(A, {s.sid}, int(lv{u}.sum()), {r.el}, "
+            f"{r.aws})"))
         self.w(f"if lv{u}.any():")
         self.ind += 1
         self.w(f"stk{u} = []")
-        self.w(f"{mw} = {r.m}")
-        self.w(f"{aww} = {r.aw}")
+        self.w(f"{mw} = {r.m}; {aww} = {r.aw} if CNT else None")
         self.w("while True:")
         self.ind += 1
         self.w(f"E.steps += int(lv{u}.sum())")
@@ -1124,28 +1140,20 @@ class _Emitter:
         self.w(f"ix_ = _flat(lv{u})")
         self.w(f"stk{u}.append((E, ix_))")
         self.w("E = _compact_env(E, ix_)")
-        self.w(f"{mw} = {mw}[ix_]; {aww} = {aww}[ix_]; lv{u} = lv{u}[ix_]")
-        for line in _RECOMPUTE:
-            self.w(line)
+        self.w(f"{mw} = {mw}[ix_]; lv{u} = lv{u}[ix_]")
+        self.w(f"{aww} = {aww}[ix_] if CNT else None")
+        self.w(_RECOMPUTE)
         self.ind -= 1
-        self.w(f"if bool(lv{u}.all()):")
-        self.ind += 1
-        self.w(f"m{u}b = {mw}; aw{u}b = {aww}")
-        self.ind -= 1
-        self.w("else:")
-        self.ind += 1
-        self.w(f"m{u}b = {mw} & lv{u}[:, None]")
-        self.w(f"aw{u}b = np.where(lv{u}, {aww}, 0)")
-        self.ind -= 1
-        self.w(f"aws{u}b = int(aw{u}b.sum())")
+        self.w(f"lf{u} = bool(lv{u}.all())")
+        self.w(f"m{u}b = {mw} if lf{u} else {mw} & lv{u}[:, None]")
         self.w(f"f{u}b = bool(m{u}b.all())")
-        self.block(s.body,
-                   _Region(f"m{u}b", f"f{u}b", f"aw{u}b", f"aws{u}b"))
-        self.w(f"ST.warp_inst_slots += aws{u}b")
-        self.w(f"if _r{u} is not None:")
-        self.ind += 1
-        self.w(f"_r{u}.warp_slots += aws{u}b")
-        self.ind -= 1
+        self.w("if CNT:")
+        self.w(f"    aw{u}b = {aww} if lf{u} else np.where(lv{u}, {aww}, 0)")
+        self.w(f"    aws{u}b = int(aw{u}b.sum())")
+        body = _Region(f"m{u}b", f"f{u}b", f"aw{u}b", f"aws{u}b")
+        self.block(s.body, body)
+        self.count(body, pre=("if A is not None:",
+                              f"    _r{u}.warp_slots += aws{u}b"))
         self.ind -= 1
         self.unwind(u)
         self.ind -= 1
@@ -1158,16 +1166,14 @@ class _Emitter:
         self.w("_expand_env(_p, E, ix_)")
         self.w("E = _p")
         self.ind -= 1
-        for line in _RECOMPUTE:
-            self.w(line)
+        self.w(_RECOMPUTE)
 
     def emit_sync(self, s: K.Sync, r: _Region) -> None:
-        self.w(f"_sync(E, {r.m}, {r.aws}, "
+        self.w(f"_sync(E, {r.m}, {r.aws} if CNT else None, "
                f"None if A is None else A.row({s.sid}))")
 
     def emit_shfl(self, s: K.ShflDown, r: _Region) -> None:
-        self.w(f"ST.warp_inst_slots += {r.aws}")
-        self.attr_row(r, s.sid)
+        self.count(r, s.sid)
         self.w(f"_shfl(E, {s.dst!r}, {s.src!r}, {int(s.delta)}, "
                f"{int(self.device.warp_size)}, {r.m}, {r.f})")
 
@@ -1183,9 +1189,10 @@ class _Emitter:
             "_SLOT_SIDS = " + repr(self.slot_sids),
             "def _run_chunk(E):",
             "    GM = E.gmem; ST = E.stats; A = E.attr; R = E.regs",
+            # counted launch (off on a counter-memo hit): every line whose
+            # only consumer is a counter sits behind this flag
+            "    CNT = E.acct is not None",
             "    SHP = E.block_mask.shape; NB = SHP[0]",
-            "    WKr = E.warpkey.reshape(-1); BFr = E.block_of.reshape(-1)",
-            "    RWr = E.rows.reshape(-1)",
             "    TX = E.tx; TY = E.ty; TID = E.tid; BX = E.bx",
             "    BDX = E.bdx; BDY = E.bdy; GDX = E.gdx; NTID = E.ntid",
         ]
@@ -1199,7 +1206,8 @@ class _Emitter:
             head.append("    WOK = int(E.bdx) % "
                         f"{int(self.device.warp_size)} == 0")
         head.append("    m0 = E.block_mask; f0 = True")
-        head.append("    aw0 = np.full(NB, E.nwarps, dtype=np.int64); "
+        head.append("    if CNT:")
+        head.append("        aw0 = np.full(NB, E.nwarps, dtype=np.int64); "
                     "aws0 = NB * int(E.nwarps)")
         if not body:
             body = ["    pass"]

@@ -7,8 +7,10 @@ of the first launch's :class:`~repro.gpu.events.KernelStats`.  These
 tests pin the contract from the outside: a memo hit on fresh data gives
 the counters a counted launch of a freshly compiled program gives; data-
 dependent kernels never hit; faults, ``trace``, ``attribution`` and the
-reference executor bypass the memo; and any change of the launch shape
-counts afresh.
+reference executor bypass the memo; any change of the launch shape
+counts afresh; and one entry serves both fast modes.  They also pin the
+tiered default: an unpinned launch that counts runs ``batched``, and
+its memo hits run the values-only trace code on trace-eligible kernels.
 """
 
 import dataclasses
@@ -19,6 +21,8 @@ import numpy as np
 import pytest
 
 from repro import acc
+from repro.apps.heat2d import ERROR_SRC, UPDATE_SRC
+from repro.apps.matmul import MATMUL_SRC
 from repro.dtypes import DType
 from repro.faults import FaultPlan
 from repro.gpu import GlobalMemory, K20C
@@ -406,3 +410,226 @@ def test_threads_evicting_one_memo():
     assert not _in_threads(4, launch)
     assert not wrong
     assert len(ck._counter_memo) <= _COUNTER_MEMO_MAX
+
+
+# --------------------------------------------------------------------------
+# one memo entry per launch shape, whichever fast mode counted it
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("counted_mode, hit_mode",
+                         [("batched", "trace"), ("trace", "batched")])
+def test_memo_serves_the_other_fast_mode(counted_mode, hit_mode):
+    prog = acc.compile(_SUM_SRC, **GEOM)
+    first = prog.run(executor_mode=counted_mode, **_sum_inputs(2048, 10))
+    assert _counters(first) == {"counted"}
+    fresh = _sum_inputs(2048, 11)
+    hit = prog.run(executor_mode=hit_mode, **fresh)
+    assert {(st.executor, st.counters)
+            for st in hit.kernel_stats.values()} == {(hit_mode, "memo")}
+    counted = acc.compile(_SUM_SRC, **GEOM).run(executor_mode=hit_mode,
+                                                 **fresh)
+    assert _counters(counted) == {"counted"}
+    assert _stats(hit) == _stats(counted)
+    assert hit.modeled_ms == counted.modeled_ms
+    assert (np.asarray(hit.scalars["total"]).tobytes()
+            == np.asarray(counted.scalars["total"]).tobytes())
+    for ck in prog._compiled.values():
+        assert len(ck._counter_memo) == 1
+
+
+# --------------------------------------------------------------------------
+# the tiered default: counted launches run batched, memo hits run trace
+# --------------------------------------------------------------------------
+
+#: a geometry at which, under the optimized pipeline, exactly the four
+#: gang-worker-vector ``int`` cells take the atomic gang-partial style
+#: (trace-ineligible); heat's error kernel combines its gang partials
+#: with an atomic max at any geometry
+TIER_GEOM = dict(num_gangs=96, num_workers=2, vector_length=32)
+_ATOMIC = {f"{same}gang worker vector [{op}] int"
+           for same in ("", "same line ") for op in "+*"} | {"heat-error"}
+
+
+@pytest.fixture
+def unpinned(monkeypatch):
+    """No ``REPRO_EXECUTOR``: ``mode=None`` launches take the tiered
+    default."""
+    monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+
+
+def _tiers(res) -> set:
+    return {(st.executor, st.counters) for st in res.kernel_stats.values()}
+
+
+def _assert_same_run(got, want):
+    assert _stats(got) == _stats(want)
+    assert got.modeled_ms == want.modeled_ms
+    for kind in ("scalars", "outputs"):
+        ours, theirs = getattr(got, kind), getattr(want, kind)
+        assert ours.keys() == theirs.keys()
+        for name, v in theirs.items():
+            assert np.asarray(ours[name]).tobytes() \
+                == np.asarray(v).tobytes(), (kind, name)
+
+
+def _heat_inputs(seed):
+    t = np.random.default_rng(seed).random((16, 16), dtype=np.float32)
+    return dict(temp1=t, temp2=t.copy())
+
+
+def _matmul_inputs(seed):
+    rng = np.random.default_rng(seed)
+    return dict(A=rng.random(256, dtype=np.float32),
+                B=rng.random(256, dtype=np.float32),
+                C=np.zeros(256, np.float32), n=16)
+
+
+_APP_GEOM = dict(num_gangs=14, num_workers=1, vector_length=32)
+_APPS = {
+    "heat-update": (UPDATE_SRC, _APP_GEOM, _heat_inputs),
+    "heat-error": (ERROR_SRC, _APP_GEOM, _heat_inputs),
+    "matmul": (MATMUL_SRC,
+               dict(num_gangs=16, num_workers=4, vector_length=32),
+               _matmul_inputs),
+}
+_TIER_RUNS = ([(c.label, c.source, TIER_GEOM, c.make_inputs) for c in _CASES]
+              + [(name, src, geom, lambda rng, f=make: f(
+                  int(rng.integers(1 << 30))))
+                 for name, (src, geom, make) in _APPS.items()])
+
+
+@pytest.mark.usefixtures("unpinned")
+@pytest.mark.parametrize("label, source, geom, make_inputs", _TIER_RUNS,
+                         ids=[r[0] for r in _TIER_RUNS])
+def test_tiered_default(label, source, geom, make_inputs):
+    prog = acc.compile(source, **geom)
+    first = prog.run(**make_inputs(np.random.default_rng(1)))
+    assert _tiers(first) == {("batched", "counted")}
+    fresh = make_inputs(np.random.default_rng(2))
+    second = prog.run(**fresh)
+    for name, st in second.kernel_stats.items():
+        eligible = prog._compiled[name].trace_safety.eligible
+        assert (st.executor, st.counters) \
+            == ("trace" if eligible else "batched", "memo"), name
+    if prog.pipeline == "optimized":  # the autotuner picks the atomics
+        assert (label in _ATOMIC) == any(
+            not ck.trace_safety.eligible for ck in prog._compiled.values())
+    _assert_same_run(second, acc.compile(source, **geom).run(
+        executor_mode="reference", **make_inputs(np.random.default_rng(2))))
+
+
+@pytest.mark.usefixtures("unpinned")
+def test_tiered_hit_counts_nothing(monkeypatch):
+    from repro.gpu import executor_batched, executor_trace
+    from repro.gpu.memory import GlobalMemory, SharedMemory
+
+    case = next(c for c in _CASES
+                if c.label == "gang worker vector [+] float")
+    called = []
+    forbid = [False]
+
+    class Counted(Exception):
+        pass
+
+    def guard(name, fn):
+        def wrapper(*args, **kwargs):
+            if forbid[0]:
+                raise Counted(name)
+            called.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    prog = acc.compile(case.source, **GEOM)
+    first = prog.run(**case.make_inputs(np.random.default_rng(1)))
+    assert _tiers(first) == {("batched", "counted")}
+    # the generated code binds its helpers when it is compiled, which
+    # the first trace launch below does
+    monkeypatch.setitem(executor_trace._BASE_GLOBALS, "_warps_per_block",
+                        guard("_warps_per_block",
+                              executor_batched._warps_per_block))
+    for owner, name in ((GlobalMemory, "_count_transactions_batched"),
+                        (SharedMemory, "_count_banks"),
+                        (executor_trace, "finalize_segment_reuse")):
+        monkeypatch.setattr(owner, name, guard(name, getattr(owner, name)))
+    forbid[0] = True
+    fresh = case.make_inputs(np.random.default_rng(2))
+    hit = prog.run(**fresh)
+    assert _tiers(hit) == {("trace", "memo")}
+    forbid[0] = False
+    counted = acc.compile(case.source, **GEOM).run(executor_mode="trace",
+                                                   **fresh)
+    assert _tiers(counted) == {("trace", "counted")}
+    assert set(called) == {"_warps_per_block", "_count_transactions_batched",
+                           "_count_banks", "finalize_segment_reuse"}
+    _assert_same_run(hit, counted)
+
+
+def test_pinned_modes_stay_pinned(monkeypatch):
+    monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+    prog = acc.compile(_SUM_SRC, **GEOM)
+    inputs = _sum_inputs(2048, 12)
+    assert _tiers(prog.run(**inputs)) == {("batched", "counted")}
+    assert _tiers(prog.run(executor_mode="batched", **inputs)) \
+        == {("batched", "memo")}
+    monkeypatch.setenv("REPRO_EXECUTOR", "batched")
+    assert _tiers(prog.run(**inputs)) == {("batched", "memo")}
+    monkeypatch.delenv("REPRO_EXECUTOR")
+    with timeline.enabled() as tl:
+        assert _tiers(prog.run(**inputs)) == {("trace", "memo")}
+        events = [e.attrs for e in tl.events("gpu", "decision")
+                  if e.name == "executor-mode"]
+    assert events and {(e["requested"], e["mode"], e["fallback"],
+                        e["counters"]) for e in events} \
+        == {("batched", "trace", False, "memo")}
+
+
+def _shift_kernel():
+    """Block ``b`` stores ``buf[b]`` and then loads ``buf[b + 1]``: in the
+    reference order block ``b`` reads the old value, so running blocks
+    side by side is a cross-block hazard the static analysis cannot rule
+    out (``buf`` is checked), while the counters stay data-independent."""
+    bx = Special("bx")
+    return stamp_sids(Kernel("shift", (
+        If(Bin("==", Special("tid"), Const(0, DType.INT)), (
+            GStore("buf", bx, Const(7.0, DType.FLOAT)),
+            GLoad("v", "buf", Bin("+", bx, Const(1, DType.INT))),
+            GStore("out", bx, Reg("v")),
+        )),
+    ), buffers=("buf", "out")))
+
+
+def test_tiered_hit_hazard_reruns_counted_on_reference(monkeypatch):
+    monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+
+    def memory():
+        g = GlobalMemory(K20C)
+        g.alloc("buf", 9, DType.FLOAT, init=np.arange(9))
+        g.alloc("out", 8, DType.FLOAT)
+        return g
+
+    ck = CompiledKernel(_shift_kernel(), K20C)
+    assert ck.batch_safety.checked_bufs == ("buf",)
+    assert ck.batch_safety.counters_invariant
+    assert ck.trace_safety.eligible
+    # one block per chunk: the hazard state resets before any other
+    # block runs, so the counted launch completes on batched
+    st = ck.run(memory(), 8, (32, 1), block_batch=1)
+    assert (st.executor, st.counters) == ("batched", "counted")
+    g = memory()
+    with timeline.enabled() as tl:
+        st = ck.run(g, 8, (32, 1))
+        tried = [(e.attrs["mode"], e.attrs["counters"])
+                 for e in tl.events("gpu", "decision")
+                 if e.name == "executor-mode"]
+    # the memo hit tiered up to trace, hit the hazard, rolled back and
+    # reran counted on the reference path
+    assert tried == [("trace", "memo")]
+    assert (st.executor, st.counters) == ("reference", "counted")
+    assert ck._dynamic_fallback
+    want_g = memory()
+    want = CompiledKernel(_shift_kernel(), K20C).run(
+        want_g, 8, (32, 1), mode="reference")
+    assert st == want
+    for b in ("buf", "out"):
+        assert g[b].data.tobytes() == want_g[b].data.tobytes()
+    np.testing.assert_array_equal(g["out"].data, np.arange(1, 9))
