@@ -148,14 +148,13 @@ def _render_autotune(prog) -> str:
     return "\n".join(lines)
 
 
-def _compile_from_args(args, *, capture_ir=False, profiler=None):
+def _compile_from_args(args, *, capture_ir=False):
     source = open(args.file).read()
     return acc.compile(source, compiler=args.compiler,
                        num_gangs=args.num_gangs,
                        num_workers=args.num_workers,
                        vector_length=args.vector_length,
-                       pipeline=args.pipeline, capture_ir=capture_ir,
-                       profiler=profiler)
+                       pipeline=args.pipeline, capture_ir=capture_ir)
 
 
 def _cmd_compile(args) -> int:
@@ -245,16 +244,17 @@ def _export_timeline(args, bus) -> None:
 
 
 def _cmd_run(args) -> int:
+    import contextlib
+
+    from repro.obs import Profiler
     from repro.obs import timeline as _tl
 
-    profiler = None
-    if args.profile:
-        from repro.obs import Profiler
-        profiler = Profiler()
-    with _timeline_scope(args):
-        prog = _compile_from_args(args, profiler=profiler)
+    profiler = Profiler() if args.profile else None
+    with (profiler if profiler is not None else contextlib.nullcontext()), \
+            _timeline_scope(args):
+        prog = _compile_from_args(args)
         kwargs = _parse_run_inputs(args)
-        res = prog.run(profiler=profiler, **kwargs)
+        res = prog.run(**kwargs)
         _export_timeline(args, _tl.current())
     for name, value in res.scalars.items():
         print(f"scalar {name} = {value}")
@@ -302,18 +302,17 @@ def _cmd_profile(args) -> int:
     from repro.obs import timeline as _tl
     from repro.obs.report import format_profile
 
-    profiler = Profiler()
     # with --json - the profile document owns stdout; report goes to stderr
     report_to = sys.stderr if args.json == "-" else sys.stdout
-    with _timeline_scope(args):
-        prog = _compile_from_args(args, profiler=profiler)
+    with Profiler() as profiler, _timeline_scope(args):
+        prog = _compile_from_args(args)
         kwargs = _parse_run_inputs(args)
         synthesize_inputs(prog, kwargs, args.size)
         res = None
         try:
             for _ in range(max(1, args.runs)):
-                res = prog.run(profiler=profiler, trace=args.trace,
-                               attribution=args.lines, **kwargs)
+                res = prog.run(trace=args.trace, attribution=args.lines,
+                               **kwargs)
         except ReproError as exc:
             # flush the partial trace before the error surfaces: a failed
             # run is precisely when the profile is most wanted
@@ -335,11 +334,11 @@ def _cmd_annotate(args) -> int:
     from repro.obs import Profiler, annotate_record, record_rows
     from repro.obs.report import _first_attributed
 
-    profiler = Profiler()
     prog = _compile_from_args(args)
     kwargs = _parse_run_inputs(args)
     synthesize_inputs(prog, kwargs, args.size)
-    prog.run(profiler=profiler, attribution=True, **kwargs)
+    with Profiler() as profiler:
+        prog.run(attribution=True, **kwargs)
 
     records = _first_attributed(profiler.kernels)
     # with --json - the rows document owns stdout; listing goes to stderr

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.errors import (
     DegradedExecutionError, SilentCorruptionError, SimulationError,
-    TransientFaultError, WatchdogTimeoutError,
+    TransientFaultError,
 )
 from repro.gpu.costmodel import CostModel, TimingLedger
 from repro.gpu.device import DeviceProperties, K20C
@@ -130,8 +130,8 @@ class Program:
         # vendor-a data-clause defect state (§4, heat equation):
         # reduction scalars cached on "the device" across runs
         self._stale_cache: dict[str, np.generic] = {}
-        # the lowering-strategy fingerprint the profiler attaches to
-        # every kernel record of this program
+        # the lowering-strategy fingerprint every kernel span of this
+        # program carries (and each kernel record keeps)
         o = lowered.options
         self._strategy = {
             "scheduling": o.scheduling,
@@ -161,8 +161,8 @@ class Program:
 
     @property
     def strategy(self) -> dict:
-        """The lowering-strategy fingerprint the profiler attaches to
-        every kernel record (includes ``pipeline`` and per-variable
+        """The lowering-strategy fingerprint attached to every kernel
+        record (includes ``pipeline`` and per-variable
         ``autotune`` choices when the pass pipeline recorded them)."""
         return dict(self._strategy)
 
@@ -172,27 +172,7 @@ class Program:
 
     # -- execution -------------------------------------------------------
 
-    def _record_kernel(self, profiler, name: str, stats: KernelStats,
-                       timing, grid_dim: int,
-                       block_dim: tuple[int, int]) -> None:
-        profiler.record_kernel(name, stats, timing, grid_dim=grid_dim,
-                               block_dim=block_dim, device=self.device,
-                               compiler=self.profile.name,
-                               strategy=self._strategy,
-                               executor=stats.executor,
-                               kernel=self._compiled[name].kernel)
-
-    def _emit_kernel_span(self, name: str, timing, grid_dim: int,
-                          executor: str) -> None:
-        """Mirror one launch onto the telemetry bus (modeled duration,
-        and the executor mode the launch resolved to)."""
-        tl = _timeline.current()
-        if tl is not None:
-            tl.span("gpu", f"kernel:{name}", timing.total_us,
-                    grid=grid_dim, executor=executor,
-                    compiler=self.profile.name)
-
-    def run(self, *, trace: bool = False, data_region=None, profiler=None,
+    def run(self, *, trace: bool = False, data_region=None,
             faults=None, watchdog_budget: int | None = None,
             executor_mode: str | None = None, block_batch: int | None = None,
             attribution: bool = False,
@@ -211,16 +191,20 @@ class Program:
         ``trace=True`` enables per-access
         :class:`~repro.gpu.events.TraceEvent` collection on every kernel
         launch of this run (plumbed to
-        :meth:`~repro.gpu.executor.CompiledKernel.run`).  ``profiler`` (a
-        :class:`repro.obs.Profiler`) receives transfer spans, one
-        :class:`~repro.obs.record.KernelRecord` per launch, and a
-        ``reduction``-finalize span per gang reduction; when ``None``
-        (the default) no profiling work happens at all.
+        :meth:`~repro.gpu.executor.CompiledKernel.run`).
+
+        The run reports on the timeline bus when one is installed (or a
+        :class:`repro.obs.Profiler` listens): one ``acc`` ``run:`` region
+        per execution attempt, transfer and kernel spans (the kernel span
+        carries the stats, time breakdown and kernel IR that become a
+        :class:`~repro.obs.record.KernelRecord`), one ``finalize:``
+        region per gang reduction, and the ``faults`` fault events and
+        decisions of the hardened path.  With neither installed, no
+        telemetry work happens at all.
 
         Robustness knobs (all opt-in; with every one at its default the
         call takes the exact pre-existing fast path — the pinned
-        zero-overhead contract, mirroring the profiler's pure-observer
-        guarantee):
+        zero-overhead contract):
 
         * ``faults`` — a :class:`repro.faults.FaultPlan` or armed
           :class:`repro.faults.FaultInjector`; threads seeded fault
@@ -242,7 +226,7 @@ class Program:
           its retries, or fails validation/voting, recompile down the
           declared :data:`FALLBACK_CHAIN` and serve the answer from the
           first strategy that survives, recording the degradation on the
-          result and in ``profiler.metrics``.
+          result and as a ``faults`` ``degrade`` decision.
 
         ``executor_mode`` (``"trace"``, ``"batched"`` or ``"reference"``)
         and ``block_batch`` select the simulator's executor path for
@@ -268,76 +252,41 @@ class Program:
         Off by default: the run path allocates nothing for it when
         disabled.
         """
-        if not _timeline.trace_active():
-            return self._run_dispatch(
-                trace=trace, data_region=data_region, profiler=profiler,
-                faults=faults, watchdog_budget=watchdog_budget,
-                executor_mode=executor_mode, block_batch=block_batch,
-                attribution=attribution, max_attempts=max_attempts,
-                backoff_us=backoff_us, backoff_cap_us=backoff_cap_us,
-                runs=runs, validate=validate, degrade=degrade,
-                kwargs=kwargs)
+        # the per-launch knobs, keyed as CompiledKernel.run takes them
+        launch = dict(trace=trace, watchdog_budget=watchdog_budget,
+                      mode=executor_mode, block_batch=block_batch,
+                      attribution=attribution)
         # request tracing: a run inside an active context (a serve
         # dispatch) becomes a child span; a top-level run roots its own
         # trace — either way every kernel/transfer/fault event emitted
         # below lands in this run's subtree
-        with _reqtrace.span("acc", f"run:{self.lowered.main_kernel.name}",
-                            compiler=self.profile.name):
-            return self._run_dispatch(
-                trace=trace, data_region=data_region, profiler=profiler,
-                faults=faults, watchdog_budget=watchdog_budget,
-                executor_mode=executor_mode, block_batch=block_batch,
-                attribution=attribution, max_attempts=max_attempts,
-                backoff_us=backoff_us, backoff_cap_us=backoff_cap_us,
-                runs=runs, validate=validate, degrade=degrade,
-                kwargs=kwargs)
-
-    def _run_dispatch(self, *, trace, data_region, profiler, faults,
-                      watchdog_budget, executor_mode, block_batch,
-                      attribution, max_attempts, backoff_us,
-                      backoff_cap_us, runs, validate, degrade,
-                      kwargs) -> RunResult:
-        injector = _as_injector(faults)
-        if (injector is None and runs <= 1 and validate is None
-                and not degrade):
-            # the pinned fast path: bit-identical to the pre-faults runtime
-            return self._execute(trace=trace, data_region=data_region,
-                                 profiler=profiler,
-                                 watchdog_budget=watchdog_budget,
-                                 executor_mode=executor_mode,
-                                 block_batch=block_batch,
-                                 attribution=attribution,
-                                 kwargs=kwargs)
-        return self._run_hardened(
-            trace=trace, data_region=data_region, profiler=profiler,
-            injector=injector, watchdog_budget=watchdog_budget,
-            executor_mode=executor_mode, block_batch=block_batch,
-            attribution=attribution,
-            max_attempts=max_attempts, backoff_us=backoff_us,
-            backoff_cap_us=backoff_cap_us, runs=runs, validate=validate,
-            degrade=degrade, kwargs=kwargs)
+        with (_reqtrace.span("acc", f"run:{self.lowered.main_kernel.name}",
+                             compiler=self.profile.name)
+              if _timeline.trace_active() else nullcontext()):
+            injector = _as_injector(faults)
+            if (injector is None and runs <= 1 and validate is None
+                    and not degrade):
+                # the pinned fast path: bit-identical to the pre-faults
+                # runtime
+                return self._execute(data_region=data_region,
+                                     kwargs=kwargs, **launch)
+            return self._run_hardened(
+                data_region=data_region, injector=injector, launch=launch,
+                max_attempts=max_attempts, backoff_us=backoff_us,
+                backoff_cap_us=backoff_cap_us, runs=runs, validate=validate,
+                degrade=degrade, kwargs=kwargs)
 
     # -- the plain execution path (one attempt, one strategy) ------------
 
-    def _execute(self, *, trace: bool, data_region, profiler,
-                 faults=None, watchdog_budget: int | None = None,
-                 executor_mode: str | None = None,
-                 block_batch: int | None = None,
-                 attribution: bool = False,
-                 kwargs: dict) -> RunResult:
+    def _execute(self, *, data_region, kwargs: dict, faults=None,
+                 **launch) -> RunResult:
         from repro.acc.runtime import DataEnv
 
         env = DataEnv(region=self.region, device=self.device,
-                      data_region=data_region, profiler=profiler,
-                      faults=faults)
+                      data_region=data_region, faults=faults)
         env.bind(kwargs)
         try:
-            return self._execute_bound(env, trace=trace, profiler=profiler,
-                                       faults=faults,
-                                       watchdog_budget=watchdog_budget,
-                                       executor_mode=executor_mode,
-                                       block_batch=block_batch,
-                                       attribution=attribution)
+            return self._execute_bound(env, faults=faults, **launch)
         except BaseException:
             # free this run's allocations so a retry (or the next run in
             # a shared data region) can allocate the same names again
@@ -345,22 +294,24 @@ class Program:
             raise
 
     def _launch(self, env, stats: dict, name: str, grid: int,
-                block: tuple[int, int], params, *, trace, profiler, faults,
-                watchdog_budget, executor_mode, block_batch,
-                attribution) -> KernelStats:
-        """Run one kernel launch: execute, charge the ledger, mirror the
-        telemetry span, and record on the profiler."""
+                block: tuple[int, int], params, **launch) -> KernelStats:
+        """Run one kernel launch: execute, charge the ledger, and emit the
+        kernel span (modeled duration, the executor mode the launch
+        resolved to, and the in-memory references of a kernel record)."""
         ck = self._compiled[name]
-        st = ck.run(env.gmem, grid, block, params=params, trace=trace,
-                    faults=faults, watchdog_budget=watchdog_budget,
-                    mode=executor_mode, block_batch=block_batch,
-                    attribution=attribution)
+        st = ck.run(env.gmem, grid, block, params=params, **launch)
         stats[name] = st
         tb = self._cost.kernel_time(st)
         env.ledger.add(f"kernel:{name}", tb.total_us)
-        self._emit_kernel_span(name, tb, grid, st.executor)
-        if profiler is not None:
-            self._record_kernel(profiler, name, st, tb, grid, block)
+        tl = _timeline.current()
+        if tl is not None:
+            tl.span("gpu", f"kernel:{name}", tb.total_us,
+                    refs={"stats": st, "timing": tb, "block": block,
+                          "device": self.device, "kernel": ck.kernel,
+                          "compiler": self.profile.name,
+                          "strategy": self._strategy},
+                    grid=grid, executor=st.executor,
+                    compiler=self.profile.name)
         return st
 
     def _finalize_reduction(self, g, env, scalars: dict, stats: dict,
@@ -369,11 +320,8 @@ class Program:
         read the device result, and fold it into the host value.  The
         finished value is written back into the scalar environment so a
         later kernel stage's parameters deliver it."""
-        profiler = lk["profiler"]
-        fin_span = (profiler.region(f"finalize:{g.var}", "reduction",
-                                    var=g.var, op=g.op.token)
-                    if profiler is not None else nullcontext())
-        with fin_span:
+        with _region(f"finalize:{g.var}", region="reduction", var=g.var,
+                     op=g.op.token):
             if g.finish_kernel is not None:
                 self._launch(env, stats, g.finish_kernel.name, 1, (fbs, 1),
                              {}, **lk)
@@ -406,12 +354,9 @@ class Program:
         if self.profile.stale_scalar_cache:
             self._stale_cache[g.var] = final
 
-    def _execute_bound(self, env, *, trace: bool, profiler, faults,
-                       watchdog_budget: int | None,
-                       executor_mode: str | None = None,
-                       block_batch: int | None = None,
-                       attribution: bool = False) -> RunResult:
-
+    def _execute_bound(self, env, **lk) -> RunResult:
+        """One attempt over a bound data environment; ``lk`` holds the
+        :meth:`CompiledKernel.run` keywords every launch receives."""
         # the vendor-a defect: device-resident reduction scalars ignore
         # host-side reinitialization between runs of the same program
         if self.profile.stale_scalar_cache:
@@ -422,10 +367,8 @@ class Program:
                         and g.index_var in self._stale_cache:
                     env.scalars[g.index_var] = self._stale_cache[g.index_var]
 
-        run_span = (profiler.region(f"run:{self.lowered.main_kernel.name}",
-                                    "run", compiler=self.profile.name)
-                    if profiler is not None else nullcontext())
-        with run_span:
+        with _region(f"run:{self.lowered.main_kernel.name}", region="run",
+                     compiler=self.profile.name):
             env.enter()
             for sb in self.lowered.scratch:
                 fill = None
@@ -437,10 +380,6 @@ class Program:
             stats: dict[str, KernelStats] = {}
             geom = self.lowered.geometry
             fbs = self.lowered.options.finish_block_size
-            lk = dict(trace=trace, profiler=profiler, faults=faults,
-                      watchdog_budget=watchdog_budget,
-                      executor_mode=executor_mode, block_batch=block_batch,
-                      attribution=attribution)
             for g in self.lowered.gang_reductions:
                 if g.init_kernel is None:
                     continue
@@ -478,14 +417,9 @@ class Program:
 
     # -- hardening: retry, voting, graceful strategy degradation ---------
 
-    def _run_hardened(self, *, trace, data_region, profiler, injector,
-                      watchdog_budget, max_attempts, backoff_us,
-                      backoff_cap_us, runs, validate, degrade,
-                      kwargs, executor_mode=None,
-                      block_batch=None, attribution=False) -> RunResult:
-        metrics = profiler.metrics if profiler is not None else None
-        injected_before = len(injector.records) if injector is not None \
-            else 0
+    def _run_hardened(self, *, data_region, injector, launch: dict,
+                      max_attempts, backoff_us, backoff_cap_us, runs,
+                      validate, degrade, kwargs) -> RunResult:
         chain: list[tuple[str, dict | None]] = [("primary", {})]
         if degrade:
             for name, overrides in FALLBACK_CHAIN:
@@ -510,18 +444,15 @@ class Program:
                     result = self._run_host(kwargs)
                 else:
                     result = _vote(
-                        target, runs=runs, trace=trace,
-                        data_region=data_region, profiler=profiler,
-                        injector=injector, watchdog_budget=watchdog_budget,
-                        executor_mode=executor_mode, block_batch=block_batch,
-                        attribution=attribution,
+                        target, runs=runs, data_region=data_region,
+                        injector=injector, launch=launch,
                         max_attempts=max_attempts, backoff_us=backoff_us,
-                        backoff_cap_us=backoff_cap_us, kwargs=kwargs,
-                        metrics=metrics, degradations=degradations)
+                        backoff_cap_us=backoff_cap_us, kwargs=kwargs)
                 if validate is not None and not validate(result):
-                    if metrics is not None:
-                        metrics.counter(
-                            "faults.validation_failures").inc()
+                    tl = _timeline.current()
+                    if tl is not None:
+                        tl.decision("faults", "validation-failure",
+                                    strategy=sname)
                     raise SilentCorruptionError(
                         f"result validation failed under strategy "
                         f"{sname!r}")
@@ -532,13 +463,6 @@ class Program:
             except (SimulationError, TransientFaultError,
                     SilentCorruptionError) as exc:
                 last_exc = exc
-                if metrics is not None:
-                    if isinstance(exc, WatchdogTimeoutError):
-                        metrics.counter("faults.watchdog_timeouts").inc()
-                    if isinstance(exc, SilentCorruptionError):
-                        metrics.counter(
-                            "faults.silent_corruption_detected").inc()
-                    metrics.counter("faults.strategy_failures").inc()
                 tl = _timeline.current()
                 if tl is not None:
                     tl.decision(
@@ -556,18 +480,14 @@ class Program:
             result.strategy = sname
             result.degradations = degradations + result.degradations
             tl = _timeline.current()
-            if tl is not None and (level > 0 or degradations):
-                tl.decision("faults", "degrade", served_by=sname,
-                            level=level,
-                            walked=[d.strategy for d in degradations
-                                    if getattr(d, "strategy", None)])
-            if metrics is not None:
-                metrics.counter(f"faults.served_by.{sname}").inc()
-                if level > 0:
-                    metrics.counter("faults.degraded").inc()
-                if injector is not None:
-                    for rec in injector.records[injected_before:]:
-                        profiler.record_fault(rec.site, rec.kind)
+            if tl is not None:
+                if level > 0 or degradations:
+                    tl.decision("faults", "degrade", served_by=sname,
+                                level=level,
+                                walked=[d.strategy for d in degradations
+                                        if getattr(d, "strategy", None)])
+                else:
+                    tl.decision("faults", "served", served_by=sname)
             return result
         raise last_exc if last_exc is not None else SimulationError(
             "empty strategy chain")  # pragma: no cover - chain never empty
@@ -619,6 +539,20 @@ class Program:
                          kernel_stats={})
 
 
+def _region(name: str, **attrs):
+    """An ``acc`` span emitted at close around one execution attempt
+    (``run:``) or one reduction finalize (``finalize:``); a
+    :class:`repro.obs.Profiler` places it on the device track around the
+    spans emitted inside.  Under request tracing it is a structural span
+    they nest in."""
+    tl = _timeline.current()
+    if tl is None:
+        return nullcontext()
+    if _timeline.trace_active():
+        return _reqtrace.span("acc", name, **attrs)
+    return tl.timed_span("acc", name, **attrs)
+
+
 def _as_injector(faults):
     """Accept a FaultPlan, an armed FaultInjector, or None."""
     if faults is None:
@@ -628,10 +562,9 @@ def _as_injector(faults):
     return faults.injector()  # a FaultPlan
 
 
-def _execute_with_retry(prog: "Program", *, trace, data_region, profiler,
-                        injector, watchdog_budget, max_attempts, backoff_us,
-                        backoff_cap_us, kwargs, metrics, executor_mode=None,
-                        block_batch=None, attribution=False) -> RunResult:
+def _execute_with_retry(prog: "Program", *, data_region, injector,
+                        launch: dict, max_attempts, backoff_us,
+                        backoff_cap_us, kwargs) -> RunResult:
     """Retry transient faults (launch/transfer) with capped backoff.
 
     The backoff is *modeled* time — no wall-clock sleep — charged to the
@@ -642,20 +575,13 @@ def _execute_with_retry(prog: "Program", *, trace, data_region, profiler,
     attempt = 1
     while True:
         try:
-            res = prog._execute(trace=trace, data_region=data_region,
-                                profiler=profiler, faults=injector,
-                                watchdog_budget=watchdog_budget,
-                                executor_mode=executor_mode,
-                                block_batch=block_batch,
-                                attribution=attribution,
-                                kwargs=kwargs)
+            res = prog._execute(data_region=data_region, kwargs=kwargs,
+                                faults=injector, **launch)
         except (KeyboardInterrupt, SystemExit):
             # an interrupt is not a transient fault: re-raise immediately
             # without consuming an attempt or charging backoff
             raise
         except TransientFaultError as exc:
-            if metrics is not None:
-                metrics.counter("faults.transient_detected").inc()
             tl = _timeline.current()
             if tl is not None:
                 tl.decision("faults", "retry", attempt=attempt,
@@ -664,8 +590,6 @@ def _execute_with_retry(prog: "Program", *, trace, data_region, profiler,
                             giving_up=(attempt >= max_attempts))
             if attempt >= max_attempts:
                 raise
-            if metrics is not None:
-                metrics.counter("faults.retries").inc()
             backoffs.append(min(backoff_us * (2 ** (attempt - 1)),
                                 backoff_cap_us))
             attempt += 1
@@ -676,10 +600,7 @@ def _execute_with_retry(prog: "Program", *, trace, data_region, profiler,
         return res
 
 
-def _vote(prog: "Program", *, runs, trace, data_region, profiler, injector,
-          watchdog_budget, max_attempts, backoff_us, backoff_cap_us,
-          kwargs, metrics, degradations, executor_mode=None,
-          block_batch=None, attribution=False) -> RunResult:
+def _vote(prog: "Program", *, runs, **attempt) -> RunResult:
     """Redundant-execution majority voting over ``runs`` replicas.
 
     A silent bit-flip raises no exception; executing the program N times
@@ -687,13 +608,7 @@ def _vote(prog: "Program", *, runs, trace, data_region, profiler, injector,
     (majority agrees) or a :class:`SilentCorruptionError` (no majority).
     """
     def once():
-        return _execute_with_retry(
-            prog, trace=trace, data_region=data_region, profiler=profiler,
-            injector=injector, watchdog_budget=watchdog_budget,
-            executor_mode=executor_mode, block_batch=block_batch,
-            attribution=attribution,
-            max_attempts=max_attempts, backoff_us=backoff_us,
-            backoff_cap_us=backoff_cap_us, kwargs=kwargs, metrics=metrics)
+        return _execute_with_retry(prog, **attempt)
 
     if runs <= 1:
         return once()
@@ -703,9 +618,11 @@ def _vote(prog: "Program", *, runs, trace, data_region, profiler, injector,
     for fp in fps:
         tally[fp] = tally.get(fp, 0) + 1
     majority_fp, count = max(tally.items(), key=lambda kv: kv[1])
+    tl = _timeline.current()
     if count < runs // 2 + 1:
-        if metrics is not None:
-            metrics.counter("faults.vote_inconclusive").inc()
+        if tl is not None:
+            tl.decision("faults", "vote", outcome="inconclusive",
+                        runs=runs, majority=count)
         raise SilentCorruptionError(
             f"redundant execution produced {len(tally)} distinct results "
             f"over {runs} runs (no majority)")
@@ -715,9 +632,9 @@ def _vote(prog: "Program", *, runs, trace, data_region, profiler, injector,
         winner.degradations = winner.degradations + [DegradedExecutionError(
             f"redundant-execution vote: {runs - count}/{runs} replicas "
             "diverged; majority result served")]
-        if metrics is not None:
-            metrics.counter("faults.vote_corrected").inc()
-            metrics.counter("faults.silent_corruption_detected").inc()
+        if tl is not None:
+            tl.decision("faults", "vote", outcome="corrected", runs=runs,
+                        majority=count)
     return winner
 
 
@@ -738,7 +655,7 @@ def compile(source: str, *, compiler: str | CompilerProfile = "openuh",
             vector_length: int | None = None,
             device: DeviceProperties = K20C,
             array_dtypes: dict[str, str] | None = None,
-            profiler=None, pipeline=None, capture_ir: bool = False,
+            pipeline=None, capture_ir: bool = False,
             **option_overrides) -> Program:
     """Compile an OpenACC source fragment for the simulated device.
 
@@ -756,8 +673,9 @@ def compile(source: str, *, compiler: str | CompilerProfile = "openuh",
     before/after IR listings on each pass record (``Program.pass_records``
     — the data behind ``repro explain`` and ``compile --dump-ir``).
 
-    ``profiler`` (a :class:`repro.obs.Profiler`) records one wall-time
-    span per pass on the host trace track.
+    With a timeline bus installed (or a :class:`repro.obs.Profiler`
+    listening), the compile emits one ``pass:*`` span per pass and a
+    ``compile-kernels`` span for the kernel pre-compile.
     """
     from repro.passes import CompileState, PassManager, resolve_pipeline
 
@@ -777,9 +695,9 @@ def compile(source: str, *, compiler: str | CompilerProfile = "openuh",
     with (_reqtrace.span("passes", "compile", compiler=profile.name,
                          pipeline=spec.name)
           if _timeline.trace_active() else nullcontext()):
-        PassManager(spec, capture_ir=capture_ir).run(state,
-                                                     profiler=profiler)
-        with (profiler.phase("compile-kernels") if profiler is not None
+        PassManager(spec, capture_ir=capture_ir).run(state)
+        tl = _timeline.current()
+        with (tl.timed_span("passes", "compile-kernels") if tl is not None
               else nullcontext()):
             return Program(state.lowered, profile, device,
                            pipeline=state.pipeline, autotune=state.autotune,

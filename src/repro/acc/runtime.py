@@ -52,7 +52,6 @@ class DataEnv:
     ledger: TimingLedger = field(default_factory=TimingLedger)
     scalars: dict[str, np.generic] = field(default_factory=dict)
     host_arrays: dict[str, np.ndarray] = field(default_factory=dict)
-    profiler: object | None = None  # repro.obs.Profiler, opt-in
     faults: object | None = None  # repro.faults.FaultInjector, opt-in
 
     def __post_init__(self):
@@ -70,10 +69,8 @@ class DataEnv:
 
     def _charge_transfer(self, label: str, us: float, nbytes: int,
                          direction: str) -> None:
-        """Ledger a host↔device copy; mirror it into the profiler."""
+        """Ledger a host↔device copy; mirror it onto the timeline bus."""
         self.ledger.add(label, us)
-        if self.profiler is not None:
-            self.profiler.record_transfer(label, us, nbytes, direction)
         tl = _timeline.current()
         if tl is not None:
             tl.span("gpu", f"transfer:{label}", us, bytes=nbytes,

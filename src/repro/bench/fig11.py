@@ -13,6 +13,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
 
@@ -28,16 +29,16 @@ SUBFIGURES = dict(zip(POSITIONS, "abcdefg"))
 
 def generate_fig11(positions=POSITIONS, quick: bool = False,
                    ctypes=("int", "float", "double"), progress=None,
-                   profiler=None):
+                   metrics=None):
     """Returns {position: TestsuiteReport-slice} rendered as series."""
     if quick:
         rep = run_testsuite(positions=positions, ctypes=ctypes, size=512,
                             num_gangs=8, num_workers=4, vector_length=32,
-                            progress=progress, profiler=profiler)
+                            progress=progress, metrics=metrics)
     else:
         rep = run_testsuite(positions=positions, ctypes=ctypes,
                             sizes=BENCH_SIZES, progress=progress,
-                            profiler=profiler)
+                            metrics=metrics)
     figures = {}
     for pos in positions:
         series = []
@@ -66,9 +67,10 @@ def main(argv=None) -> int:
         from repro.bench.harness import ProfileSink
         sink = ProfileSink(args.profile_out)
     try:
-        figures = generate_fig11(positions=tuple(args.positions),
-                                 quick=args.quick,
-                                 profiler=sink.profiler if sink else None)
+        with sink.profiler if sink else contextlib.nullcontext():
+            figures = generate_fig11(
+                positions=tuple(args.positions), quick=args.quick,
+                metrics=sink.profiler.metrics if sink else None)
     except BaseException as exc:
         # flush the partial trace (stamped truncated) on a failed sweep
         if sink is not None and not isinstance(exc, KeyboardInterrupt):

@@ -60,8 +60,8 @@ def speedup_note(base: float, other: float) -> str:
 class ProfileSink:
     """Optional machine-readable profile output for a bench run.
 
-    Holds one :class:`repro.obs.Profiler` that the bench feeds (every
-    kernel launch and transfer of the sweep accumulates into it) and
+    Holds one :class:`repro.obs.Profiler` the bench enters around its
+    sweep (every kernel launch and transfer accumulates into it) and
     writes the Chrome-trace profile document — plus a ``bench`` metadata
     block — next to the bench's text tables, e.g.
     ``artifacts/profile.json`` for ``--quick`` artifact runs.

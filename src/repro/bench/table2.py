@@ -15,6 +15,7 @@ absolute ms, are the reproduction target (see EXPERIMENTS.md).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
 
@@ -25,10 +26,13 @@ __all__ = ["generate_table2"]
 
 
 def generate_table2(quick: bool = False, ops=TABLE2_OPS,
-                    ctypes=TABLE2_CTYPES, progress=None, profiler=None,
+                    ctypes=TABLE2_CTYPES, progress=None, metrics=None,
                     executor_mode: str | None = None,
                     block_batch: int | None = None):
     """Run the grid and return the report (Table 2).
+
+    ``metrics`` (a :class:`repro.obs.MetricsRegistry`) tallies case
+    outcomes (see :func:`repro.testsuite.run_testsuite`).
 
     ``executor_mode`` / ``block_batch`` pick the simulator's executor
     path (modeled ms are identical either way; the bench smoke check uses
@@ -37,11 +41,11 @@ def generate_table2(quick: bool = False, ops=TABLE2_OPS,
     if quick:
         return run_testsuite(ops=ops, ctypes=ctypes, size=512,
                              num_gangs=8, num_workers=4, vector_length=32,
-                             progress=progress, profiler=profiler,
+                             progress=progress, metrics=metrics,
                              executor_mode=executor_mode,
                              block_batch=block_batch)
     return run_testsuite(ops=ops, ctypes=ctypes, sizes=BENCH_SIZES,
-                         progress=progress, profiler=profiler,
+                         progress=progress, metrics=metrics,
                          executor_mode=executor_mode,
                          block_batch=block_batch)
 
@@ -77,9 +81,11 @@ def main(argv=None) -> int:
         sink = ProfileSink(args.profile_out)
 
     try:
-        rep = generate_table2(quick=args.quick, ops=tuple(args.ops),
-                              ctypes=tuple(args.ctypes), progress=progress,
-                              profiler=sink.profiler if sink else None)
+        with sink.profiler if sink else contextlib.nullcontext():
+            rep = generate_table2(
+                quick=args.quick, ops=tuple(args.ops),
+                ctypes=tuple(args.ctypes), progress=progress,
+                metrics=sink.profiler.metrics if sink else None)
     except BaseException as exc:
         # a failed sweep is when the profile is most wanted: flush the
         # partial trace (stamped truncated) before the error surfaces

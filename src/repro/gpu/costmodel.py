@@ -344,7 +344,7 @@ class TimingLedger:
         once per iteration), so rows aggregate by label and keep the count.
         Rows are sorted most-expensive first, ties broken by label, so the
         report is stable across dict insertion order.  Used by the
-        profiler's text output (``repro.obs.report``).
+        profile text report (``repro.obs.report``).
         """
         totals = self.by_label()
         counts: dict[str, int] = {}

@@ -769,8 +769,8 @@ class CompiledKernel:
         already failed the runtime block-disjointness check on an earlier
         launch, and checked kernels under an armed fault injector (whose
         RNG consumption cannot be rolled back if the checked attempt
-        aborts).  :func:`repro.gpu.launch.launch` and the profiler report
-        this resolved mode.
+        aborts).  The kernel span of :func:`repro.gpu.launch.launch` and
+        of ``Program.run`` reports this resolved mode.
 
         ``"trace"`` adds one more rung: it degrades to the batched
         resolution whenever the generated code cannot honor the launch —
@@ -881,9 +881,9 @@ class CompiledKernel:
         ``Program.run`` plumb the same flag through, and
         :class:`repro.obs.Profiler` consumes the collected events.
 
-        ``faults`` (a :class:`repro.faults.FaultInjector`, opt-in like the
-        profiler) arms this launch for injected transient faults: it may
-        raise :class:`~repro.errors.KernelLaunchError` at entry, flip bits
+        ``faults`` (a :class:`repro.faults.FaultInjector`, opt-in) arms
+        this launch for injected transient faults: it may raise
+        :class:`~repro.errors.KernelLaunchError` at entry, flip bits
         of memory reads, or put the launch in stuck-warp mode; once its
         ``max_faults`` budget is spent it is disarmed and the launch runs
         as an unfaulted one.  The

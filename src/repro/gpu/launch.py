@@ -1,4 +1,4 @@
-"""Kernel launch convenience: compile, execute, time — and profile — a kernel."""
+"""Kernel launch convenience: compile, execute, and time a kernel."""
 
 from __future__ import annotations
 
@@ -149,7 +149,7 @@ class LaunchReport:
 def launch(kernel: Kernel, gmem: GlobalMemory, *, grid_dim: int,
            block_dim: tuple[int, int], params: dict | None = None,
            device: DeviceProperties = K20C, trace: bool = False,
-           profiler=None, faults=None,
+           faults=None,
            watchdog_budget: int | None = None,
            mode: str | None = None,
            block_batch: int | None = None,
@@ -161,8 +161,9 @@ def launch(kernel: Kernel, gmem: GlobalMemory, *, grid_dim: int,
     collection for this launch (the same knob
     :meth:`~repro.gpu.executor.CompiledKernel.run` takes); it is off by
     default because it records one event per memory statement execution.
-    ``profiler`` (a :class:`repro.obs.Profiler`) receives a
-    :class:`~repro.obs.record.KernelRecord` for the launch.  ``faults``
+    With a timeline bus installed (or a :class:`repro.obs.Profiler`
+    listening) the launch emits one ``kernel:`` span whose in-memory
+    ``refs`` become a :class:`~repro.obs.record.KernelRecord`.  ``faults``
     (a :class:`repro.faults.FaultInjector`) and ``watchdog_budget`` are
     forwarded to :meth:`~repro.gpu.executor.CompiledKernel.run` — the
     former arms fault injection for this launch, the latter overrides the
@@ -190,11 +191,8 @@ def launch(kernel: Kernel, gmem: GlobalMemory, *, grid_dim: int,
     tl = _timeline.current()
     if tl is not None:
         tl.span("gpu", f"kernel:{kernel.name}", timing.total_us,
+                refs={"stats": stats, "timing": timing, "block": block_dim,
+                      "device": device, "kernel": kernel},
                 grid=grid_dim, block=list(block_dim),
                 executor=stats.executor)
-    if profiler is not None:
-        profiler.record_kernel(kernel.name, stats, timing,
-                               grid_dim=grid_dim, block_dim=block_dim,
-                               device=device, executor=stats.executor,
-                               kernel=kernel)
     return LaunchReport(kernel=kernel, stats=stats, timing=timing)

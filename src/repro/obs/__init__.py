@@ -1,18 +1,20 @@
 """``repro.obs`` — profiler, structured tracing, and metrics.
 
 The observability layer over the SIMT simulator (see
-``docs/observability.md``).  Typical use::
+``docs/observability.md``).  Every layer reports on one stream, the
+timeline bus (:mod:`repro.obs.timeline`); the profiler is a scoped
+listener on it.  Typical use::
 
     from repro import acc, obs
 
-    prof = obs.Profiler()
-    prog = acc.compile(src, profiler=prof)     # compile-phase spans
-    res = prog.run(a=data, profiler=prof)      # kernels + transfers
+    with obs.Profiler() as prof:
+        prog = acc.compile(src)                # compile-phase spans
+        res = prog.run(a=data)                 # kernels + transfers
     print(prof.format_report())                # nvprof-style tables
     open("profile.json", "w").write(prof.to_json())  # chrome://tracing
 
-Everything is opt-in: with no profiler attached, the run path does no
-extra work.
+Everything is opt-in: with no profiler entered and no bus installed, the
+run path does no extra work.
 """
 
 from repro.obs import timeline
@@ -26,14 +28,12 @@ from repro.obs.roofline import Roofline, classify
 from repro.obs.slo import (LatencyHistogram, SLOConfig, SLOMonitor,
                            format_slo, quantile)
 from repro.obs.timeline import Event, Timeline
-from repro.obs.trace import (CounterSample, Span, SpanNode, TailSampler,
-                             TraceRecorder, TraceTree, assemble,
+from repro.obs.trace import (SpanNode, TailSampler, TraceTree, assemble,
                              critical_path, render_tree, tracing,
                              tree_to_chrome, verify_request_traces)
 
 __all__ = [
     "Counter",
-    "CounterSample",
     "Event",
     "Gauge",
     "Histogram",
@@ -44,11 +44,9 @@ __all__ = [
     "Roofline",
     "SLOConfig",
     "SLOMonitor",
-    "Span",
     "SpanNode",
     "TailSampler",
     "Timeline",
-    "TraceRecorder",
     "TraceTree",
     "annotate_kernel",
     "annotate_record",

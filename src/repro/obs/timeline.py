@@ -15,8 +15,16 @@ Every observable subsystem emits typed events into one opt-in bus:
 The bus is a process-wide, strictly opt-in singleton: nothing is
 installed by default, every emit site is guarded by ``current() is
 None``, and with no timeline installed the run path allocates nothing —
-the same zero-overhead contract the profiler and attribution layers pin
-(enforced by the bench smoke ``telemetry_guard``).
+the same zero-overhead contract the attribution layer pins (enforced by
+the bench smoke ``telemetry_guard``).
+
+**Listeners** (:func:`listen`) see every emitted event *before*
+per-category sampling and the ring bound, so a consumer such as
+:class:`repro.obs.Profiler` is never truncated by a sampled bus.  A
+listener with no bus installed gets a relay bus that forwards events and
+retains none.  Listener events may carry ``refs`` — in-memory objects
+(the kernel span's ``KernelStats``, ``TimeBreakdown``, kernel IR) that
+the ring copy, :meth:`Event.to_dict` and the JSONL export leave out.
 
 Events carry a monotonic timestamp (microseconds since the timeline's
 epoch, from :func:`time.perf_counter`) and a process-unique sequence
@@ -42,6 +50,7 @@ from __future__ import annotations
 import contextvars
 import itertools
 import json
+import threading
 import time
 from collections import deque
 from contextlib import contextmanager
@@ -50,7 +59,7 @@ from dataclasses import dataclass, field
 __all__ = ["Event", "Timeline", "Tracer", "current", "install",
            "uninstall", "enabled", "emit", "EVENT_KINDS", "tracer",
            "install_tracer", "uninstall_tracer", "trace_active",
-           "read_jsonl"]
+           "listen", "unlisten", "read_jsonl"]
 
 #: the typed event vocabulary; anything else is rejected at emit time
 EVENT_KINDS = ("span", "counter", "decision", "fault")
@@ -140,6 +149,8 @@ class Event:
     ``ts_us`` is monotonic (relative to the owning timeline's epoch) and
     ``seq`` totally orders events even when timestamps collide; ``dur_us``
     is meaningful for ``span`` events (0 for instantaneous kinds).
+    ``refs`` holds in-memory references for listeners only (``seq`` is
+    -1 on a listener's copy); it is never retained or exported.
     """
 
     seq: int
@@ -149,6 +160,7 @@ class Event:
     name: str
     dur_us: float = 0.0
     attrs: dict = field(default_factory=dict)
+    refs: dict | None = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {"seq": self.seq, "ts_us": round(self.ts_us, 3),
@@ -168,10 +180,15 @@ class Timeline:
     and ``dropped`` incremented — telemetry must never OOM the program
     it observes.  ``sample`` maps category → keep-every-nth (``{"gpu":
     8}`` keeps the 1st, 9th, ... ``gpu`` event; sampled-out events count
-    in ``sampled_out``).  Emission is cheap and thread-tolerant: the
-    sequence counter is an :func:`itertools.count` (atomic under the
-    GIL) and the deque append is atomic.
+    in ``sampled_out``).  Emission is thread-safe: one lock covers the
+    append and every reader's snapshot (and ``prune_trace``'s rebuild),
+    so readers never iterate a deque that a device thread is mutating and
+    no concurrently appended event is lost.
     """
+
+    #: False on the relay a listener installs when no bus is: events
+    #: reach the listeners and are not retained
+    _retain = True
 
     def __init__(self, capacity: int = 8192,
                  sample: dict[str, int] | None = None):
@@ -179,6 +196,7 @@ class Timeline:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._events: deque[Event] = deque(maxlen=capacity)
+        self._lock = threading.Lock()
         self._seq = itertools.count()
         self._epoch = time.perf_counter()
         self._sample = {c: int(n) for c, n in (sample or {}).items()}
@@ -195,8 +213,19 @@ class Timeline:
     # -- emission --------------------------------------------------------
 
     def emit(self, category: str, kind: str, name: str,
-             dur_us: float = 0.0, **attrs) -> Event | None:
-        """Append one event; returns it, or ``None`` when sampled out."""
+             dur_us: float = 0.0, refs: dict | None = None,
+             **attrs) -> Event | None:
+        """Append one event; returns it, or ``None`` when sampled out.
+
+        ``refs`` (in-memory objects for listeners) is not retained."""
+        return self._emit(time.perf_counter(), category, kind, name,
+                          dur_us, attrs, refs)
+
+    def _emit(self, now: float, category: str, kind: str, name: str,
+              dur_us: float, attrs: dict, refs: dict | None = None):
+        """:meth:`emit` at a given :func:`time.perf_counter` reading (a
+        span closed at ``now`` then starts exactly ``dur_us`` before its
+        ``ts_us``)."""
         if kind not in EVENT_KINDS:
             raise ValueError(f"unknown event kind {kind!r} "
                              f"(expected one of {EVENT_KINDS})")
@@ -211,26 +240,33 @@ class Timeline:
                     attrs["span_id"] = tr.new_span_id()
                 if ctx[1] is not None:
                     attrs.setdefault("parent_id", ctx[1])
-            tid = attrs.get("trace_id")
-            if tid is not None and tid in self._suppressed_traces:
-                self.emitted += 1
+        ts_us = (now - self._epoch) * 1e6
+        dur_us = float(dur_us)
+        if _LISTENERS:
+            seen = Event(seq=-1, ts_us=ts_us, category=category, kind=kind,
+                         name=name, dur_us=dur_us, attrs=attrs, refs=refs)
+            for fn in _LISTENERS:
+                fn(seen)
+            if not self._retain:
+                return seen
+        with self._lock:
+            self.emitted += 1
+            if (self._suppressed_traces
+                    and attrs.get("trace_id") in self._suppressed_traces):
                 self.pruned += 1
                 return None
-        self.emitted += 1
-        n = self._sample.get(category)
-        if n is not None:
-            c = self._sample_counts.get(category, 0)
-            self._sample_counts[category] = c + 1
-            if n <= 0 or c % n:
-                self.sampled_out += 1
-                return None
-        if len(self._events) == self.capacity:
-            self.dropped += 1
-        ev = Event(seq=next(self._seq),
-                   ts_us=(time.perf_counter() - self._epoch) * 1e6,
-                   category=category, kind=kind, name=name,
-                   dur_us=float(dur_us), attrs=attrs)
-        self._events.append(ev)
+            n = self._sample.get(category)
+            if n is not None:
+                c = self._sample_counts.get(category, 0)
+                self._sample_counts[category] = c + 1
+                if n <= 0 or c % n:
+                    self.sampled_out += 1
+                    return None
+            if len(self._events) == self.capacity:
+                self.dropped += 1
+            ev = Event(seq=next(self._seq), ts_us=ts_us, category=category,
+                       kind=kind, name=name, dur_us=dur_us, attrs=attrs)
+            self._events.append(ev)
         return ev
 
     def span(self, category: str, name: str, dur_us: float, **attrs):
@@ -252,38 +288,44 @@ class Timeline:
         try:
             yield
         finally:
-            self.span(category, name, (time.perf_counter() - t0) * 1e6,
-                      **attrs)
+            t1 = time.perf_counter()
+            self._emit(t1, category, "span", name, (t1 - t0) * 1e6, attrs)
 
     # -- reading / draining ----------------------------------------------
 
     def __len__(self) -> int:
         return len(self._events)
 
+    def _snapshot(self) -> list[Event]:
+        with self._lock:
+            return list(self._events)
+
     def events(self, category: str | None = None,
                kind: str | None = None) -> list[Event]:
         """Snapshot of retained events, optionally filtered."""
-        return [ev for ev in self._events
+        return [ev for ev in self._snapshot()
                 if (category is None or ev.category == category)
                 and (kind is None or ev.kind == kind)]
 
     def categories(self) -> dict[str, int]:
         """Retained event count per category (sorted for stable output)."""
         counts: dict[str, int] = {}
-        for ev in self._events:
+        for ev in self._snapshot():
             counts[ev.category] = counts.get(ev.category, 0) + 1
         return dict(sorted(counts.items()))
 
     def clear(self) -> None:
         """Drop retained events (counters and the epoch are kept)."""
-        self._events.clear()
+        with self._lock:
+            self._events.clear()
 
     def drain(self) -> list[Event]:
         """Return retained events and clear the buffer — the per-run
         isolation primitive (no cross-run leakage when one bus spans
         several ``Program.run`` calls)."""
-        out = list(self._events)
-        self._events.clear()
+        with self._lock:
+            out = list(self._events)
+            self._events.clear()
         return out
 
     def prune_trace(self, trace_id) -> int:
@@ -291,21 +333,22 @@ class Timeline:
         arrivals — how tail sampling bounds memory through the ring
         buffer.  Returns the number of events removed (also counted in
         ``pruned``)."""
-        keep = [ev for ev in self._events
-                if ev.attrs.get("trace_id") != trace_id]
-        removed = len(self._events) - len(keep)
-        if removed:
-            self._events.clear()
-            self._events.extend(keep)
-            self.pruned += removed
-        self._suppressed_traces.add(trace_id)
+        with self._lock:
+            self._suppressed_traces.add(trace_id)
+            keep = [ev for ev in self._events
+                    if ev.attrs.get("trace_id") != trace_id]
+            removed = len(self._events) - len(keep)
+            if removed:
+                self._events.clear()
+                self._events.extend(keep)
+                self.pruned += removed
         return removed
 
     # -- export ----------------------------------------------------------
 
     def to_jsonl(self) -> str:
         """The retained events, one JSON object per line (no header)."""
-        return "\n".join(ev.to_jsonl() for ev in self._events)
+        return "\n".join(ev.to_jsonl() for ev in self._snapshot())
 
     def header(self) -> dict:
         """The export header record: drop/sampling accounting plus the
@@ -338,6 +381,11 @@ class Timeline:
 # -- the process-wide bus (opt-in singleton) ------------------------------
 
 _CURRENT: Timeline | None = None
+#: listener callables, each called with every emitted :class:`Event`
+_LISTENERS: tuple = ()
+#: the relay :func:`listen` installed when no bus was (None otherwise)
+_RELAY: Timeline | None = None
+_LISTEN_LOCK = threading.Lock()
 
 
 def current() -> Timeline | None:
@@ -373,6 +421,31 @@ def enabled(timeline: Timeline | None = None, *, capacity: int = 8192,
         yield tl
     finally:
         _CURRENT = prev
+
+
+def listen(fn) -> None:
+    """Call ``fn(event)`` for every event emitted on any bus, before
+    sampling and the ring bound.  With no bus installed, installs a relay
+    that retains nothing, so every emit site reports while ``fn``
+    listens."""
+    global _LISTENERS, _CURRENT, _RELAY
+    with _LISTEN_LOCK:
+        _LISTENERS = _LISTENERS + (fn,)
+        if _CURRENT is None:
+            _RELAY = _CURRENT = Timeline(capacity=1)
+            _RELAY._retain = False
+
+
+def unlisten(fn) -> None:
+    """Stop calling ``fn``; the last listener to leave removes the relay
+    (restoring ``current() is None``)."""
+    global _LISTENERS, _CURRENT, _RELAY
+    with _LISTEN_LOCK:
+        _LISTENERS = tuple(f for f in _LISTENERS if f != fn)
+        if not _LISTENERS:
+            if _CURRENT is _RELAY:
+                _CURRENT = None
+            _RELAY = None
 
 
 def read_jsonl(path: str) -> tuple[dict | None, list[dict]]:

@@ -1,19 +1,13 @@
-"""Span-based trace recording, request-scoped causal tracing, and the
-Chrome-trace exporter.
+"""Request-scoped causal tracing and the Chrome-trace exporter.
 
 The simulator has no real clock: kernel and transfer durations are
 *modeled* microseconds, while compile phases are host work measured in
-wall time.  The recorder therefore keeps one virtual clock per *track*
-(``device`` for modeled time, ``host`` for compile-side wall time) and
-lays spans out back-to-back: each :meth:`TraceRecorder.add` places a span
-at the track's current clock and advances it by the span's duration, and
-:meth:`TraceRecorder.region` brackets a group of child spans with an
-enclosing parent span (compile → transfer → kernel → reduction-finalize
-all nest under their run).
-
-Export is the Chrome trace-event JSON format (load the file in
-``chrome://tracing`` or https://ui.perfetto.dev): complete events
-(``"ph": "X"``) with microsecond timestamps, one ``tid`` per track, plus
+wall time.  Chrome exports therefore use one ``tid`` per *track*
+(``device`` for modeled time, ``host`` for wall time); :func:`chrome_span`,
+:func:`chrome_counter` and :func:`chrome_document` build the Chrome
+trace-event JSON (load the file in ``chrome://tracing`` or
+https://ui.perfetto.dev): complete events (``"ph": "X"``) with
+microsecond timestamps, counter samples (``"ph": "C"``), plus
 ``thread_name`` metadata events so the tracks are labeled.
 
 **Request tracing.**  The second half of this module is the
@@ -48,14 +42,13 @@ rendered with a ``~`` marker.
 from __future__ import annotations
 
 import heapq
-import json
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro.obs import timeline as _timeline
 
-__all__ = ["CounterSample", "Span", "TraceRecorder",
+__all__ = ["chrome_span", "chrome_counter", "chrome_document",
            "SpanHandle", "SpanNode", "TraceTree", "TailSampler",
            "install_tracing", "uninstall_tracing", "tracing",
            "tracing_enabled", "span", "attach", "current_ids",
@@ -66,112 +59,45 @@ __all__ = ["CounterSample", "Span", "TraceRecorder",
 TRACKS = {"device": 0, "host": 1}
 
 
-@dataclass
-class Span:
-    """One timed interval on a track (microseconds)."""
-
-    name: str
-    cat: str
-    start_us: float
-    dur_us: float
-    track: str = "device"
-    args: dict = field(default_factory=dict)
-
-    def to_chrome(self) -> dict:
-        return {
-            "name": self.name,
-            "cat": self.cat,
-            "ph": "X",
-            "ts": round(self.start_us, 4),
-            "dur": round(self.dur_us, 4),
-            "pid": 0,
-            "tid": TRACKS.get(self.track, len(TRACKS)),
-            "args": self.args,
-        }
+def chrome_span(name: str, cat: str, start_us: float, dur_us: float,
+                track: str = "device", args: dict | None = None) -> dict:
+    """One complete event (``"ph": "X"``) on a track (microseconds)."""
+    return {
+        "name": name,
+        "cat": cat,
+        "ph": "X",
+        "ts": round(start_us, 4),
+        "dur": round(dur_us, 4),
+        "pid": 0,
+        "tid": TRACKS.get(track, len(TRACKS)),
+        "args": {} if args is None else args,
+    }
 
 
-@dataclass
-class CounterSample:
-    """One Chrome counter-event sample (``"ph": "C"``): a named track of
-    numeric series stacked by the viewer at a point in time."""
-
-    name: str
-    ts_us: float
-    values: dict
-    track: str = "device"
-
-    def to_chrome(self) -> dict:
-        return {
-            "name": self.name,
-            "ph": "C",
-            "ts": round(self.ts_us, 4),
-            "pid": 0,
-            "tid": TRACKS.get(self.track, len(TRACKS)),
-            "args": self.values,
-        }
+def chrome_counter(name: str, ts_us: float, values: dict,
+                   track: str = "device") -> dict:
+    """One counter sample (``"ph": "C"``): a named track of numeric
+    series stacked by the viewer at a point in time."""
+    return {
+        "name": name,
+        "ph": "C",
+        "ts": round(ts_us, 4),
+        "pid": 0,
+        "tid": TRACKS.get(track, len(TRACKS)),
+        "args": dict(values),
+    }
 
 
-@dataclass
-class TraceRecorder:
-    """Accumulates spans on per-track virtual timelines."""
-
-    spans: list[Span] = field(default_factory=list)
-    counters: list[CounterSample] = field(default_factory=list)
-    _clocks: dict[str, float] = field(default_factory=dict)
-
-    def now(self, track: str = "device") -> float:
-        return self._clocks.get(track, 0.0)
-
-    def add(self, name: str, cat: str, dur_us: float,
-            track: str = "device", **args) -> Span:
-        """Place a span at the track clock; advance the clock past it."""
-        start = self._clocks.get(track, 0.0)
-        span = Span(name=name, cat=cat, start_us=start,
-                    dur_us=float(dur_us), track=track, args=args)
-        self.spans.append(span)
-        self._clocks[track] = start + float(dur_us)
-        return span
-
-    def counter(self, name: str, values: dict,
-                track: str = "device") -> CounterSample:
-        """Sample a counter track at the track's current clock.
-
-        ``values`` maps series name → number; repeated samples under the
-        same ``name`` become a stacked counter track in trace viewers
-        (used for the per-statement attribution counters)."""
-        sample = CounterSample(name=name, ts_us=self._clocks.get(track, 0.0),
-                               values=dict(values), track=track)
-        self.counters.append(sample)
-        return sample
-
-    @contextmanager
-    def region(self, name: str, cat: str = "region",
-               track: str = "device", **args):
-        """Enclose the spans added inside the ``with`` in a parent span."""
-        start = self._clocks.get(track, 0.0)
-        span = Span(name=name, cat=cat, start_us=start, dur_us=0.0,
-                    track=track, args=args)
-        # insert the parent before its children so viewers nest it naturally
-        self.spans.append(span)
-        try:
-            yield span
-        finally:
-            span.dur_us = self._clocks.get(track, 0.0) - start
-
-    def to_chrome(self) -> dict:
-        """The Chrome trace-event document (``traceEvents`` object form)."""
-        events: list[dict] = [
-            {"name": "thread_name", "ph": "M", "pid": 0, "tid": tid,
-             "args": {"name": f"{track} (modeled)" if track == "device"
-                      else f"{track} (wall)"}}
-            for track, tid in TRACKS.items()
-        ]
-        events.extend(s.to_chrome() for s in self.spans)
-        events.extend(c.to_chrome() for c in self.counters)
-        return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_chrome(), indent=indent)
+def chrome_document(events: list[dict]) -> dict:
+    """The Chrome trace-event document (``traceEvents`` object form):
+    track-name metadata, then ``events``."""
+    meta: list[dict] = [
+        {"name": "thread_name", "ph": "M", "pid": 0, "tid": tid,
+         "args": {"name": f"{track} (modeled)" if track == "device"
+                  else f"{track} (wall)"}}
+        for track, tid in TRACKS.items()
+    ]
+    return {"traceEvents": meta + events, "displayTimeUnit": "ms"}
 
 
 # ======================================================================
@@ -264,6 +190,7 @@ def span(category: str, name: str, *, trace_id=None, **attrs):
         handle.attrs.setdefault("error", type(exc).__name__)
         raise
     finally:
+        t1 = time.perf_counter()
         _timeline._TRACE_CTX.reset(token)
         cur = _timeline.current()
         if cur is not None:
@@ -271,8 +198,7 @@ def span(category: str, name: str, *, trace_id=None, **attrs):
             if parent is not None:
                 ids["parent_id"] = parent
             ids.update(handle.attrs)
-            cur.span(category, name,
-                     (time.perf_counter() - t0) * 1e6, **ids)
+            cur._emit(t1, category, "span", name, (t1 - t0) * 1e6, ids)
 
 
 @contextmanager
@@ -577,21 +503,23 @@ def tree_to_chrome(tree: TraceTree) -> dict:
 
     Wall spans keep their recorded offsets (normalized to the trace
     start) on the host track; modeled kernel/transfer spans are laid
-    out back-to-back on the device track via the recorder's virtual
-    clock, since their modeled microseconds don't live on the wall
-    timeline."""
-    rec = TraceRecorder()
+    out back-to-back on the device track, since their modeled
+    microseconds don't live on the wall timeline."""
+    events: list[dict] = []
     t0 = min((r.start_us for r in tree.roots), default=0.0)
+    device_us = 0.0
 
     def walk(node: SpanNode) -> None:
+        nonlocal device_us
         if node.is_modeled:
-            rec.add(node.name, node.category, node.dur_us,
-                    track="device", **node.attrs)
+            events.append(chrome_span(node.name, node.category, device_us,
+                                      node.dur_us, "device",
+                                      dict(node.attrs)))
+            device_us += node.dur_us
         else:
-            rec.spans.append(Span(
-                name=node.name, cat=node.category,
-                start_us=node.start_us - t0, dur_us=node.dur_us,
-                track="host", args=dict(node.attrs)))
+            events.append(chrome_span(node.name, node.category,
+                                      node.start_us - t0, node.dur_us,
+                                      "host", dict(node.attrs)))
         for c in node.children:
             walk(c)
 
@@ -599,7 +527,7 @@ def tree_to_chrome(tree: TraceTree) -> dict:
         walk(r)
     for o in tree.orphans:
         walk(o)
-    return rec.to_chrome()
+    return chrome_document(events)
 
 
 def _recorded_latency_us(tree: TraceTree, root: SpanNode):

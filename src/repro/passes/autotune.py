@@ -20,7 +20,7 @@ modeled layout-mismatch defect; ``atomic`` needs a gang-involved span and
 an atomic-capable operator.
 
 Decisions land in ``state.autotune`` (shown by ``repro explain`` and
-recorded in the profiler's kernel records) and drive the lowering through
+recorded in every kernel record's strategy) and drive the lowering through
 a :class:`repro.codegen.lowering.PlannedStrategy` selector.
 """
 

@@ -5,9 +5,9 @@ pipeline explicit data instead.  A :class:`PipelineSpec` names an ordered
 list of registered passes; :class:`PassManager` runs them over a mutable
 :class:`CompileState`, records per-pass wall time (and, on request,
 before/after IR listings for ``--dump-ir`` / ``repro explain``), emits one
-profiler phase span per pass, and runs the kernel-IR verifier after every
-pass that produces or rewrites kernels — so a broken rewrite is pinned to
-the pass that made it, not to a downstream simulator crash.
+``pass:*`` timeline span per pass, and runs the kernel-IR verifier after
+every pass that produces or rewrites kernels — so a broken rewrite is
+pinned to the pass that made it, not to a downstream simulator crash.
 
 Pipeline resolution (strongest wins):
 
@@ -207,27 +207,22 @@ class PassManager:
         if missing:  # pragma: no cover - registry is populated on import
             raise ValueError(f"unregistered pass(es): {missing}")
 
-    def run(self, state: CompileState, profiler=None) -> CompileState:
+    def run(self, state: CompileState) -> CompileState:
         if _timeline.trace_active():
             # request tracing: group the per-pass spans under one
             # pipeline span in the current trace
             from repro.obs import trace as _reqtrace
             with _reqtrace.span("passes", f"pipeline:{self.spec.name}"):
-                return self._run(state, profiler)
-        return self._run(state, profiler)
+                return self._run(state)
+        return self._run(state)
 
-    def _run(self, state: CompileState, profiler=None) -> CompileState:
+    def _run(self, state: CompileState) -> CompileState:
         state.pipeline = self.spec.name
         for name in self.spec.passes:
             p = PASS_REGISTRY[name]
             before = _listing(state) if self.capture_ir else None
-            span = (profiler.phase(name) if profiler is not None else None)
             t0 = time.perf_counter()
-            if span is not None:
-                with span:
-                    note = p.fn(state)
-            else:
-                note = p.fn(state)
+            note = p.fn(state)
             wall_ms = (time.perf_counter() - t0) * 1000.0
             if p.kind in ("lower", "kernelopt", "finalize") \
                     and state.lowered is not None:

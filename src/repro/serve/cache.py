@@ -76,7 +76,12 @@ _MAGIC = b"REPROCC1"
 #: records gained ``cascade_fusion`` decisions.  v2 entries (pre
 #: multi-stage schema) must read as misses, not as programs that lost
 #: their fusion decisions.
-PAYLOAD_VERSION = 3
+#: v4: the generated trace source calls a new helper set (``_arow``,
+#: ``_snap``, ``_attr_mem``, ``_wk``, ``_lanes_of``; ``_attr_global`` is
+#: gone), so a v3 ``trace_src`` raises ``NameError`` on today's executor.
+#: tests/serve/test_cache.py pins a hash of the trace codegen next to this
+#: number: a codegen change that moves the hash must bump it.
+PAYLOAD_VERSION = 4
 
 #: unique-suffix counter for quarantine renames within one process
 _QSEQ = itertools.count()

@@ -88,20 +88,17 @@ def run_testsuite(compilers=DEFAULT_COMPILERS, positions=POSITIONS,
                   num_gangs: int | None = None,
                   num_workers: int | None = None,
                   vector_length: int | None = None,
-                  progress=None, profiler=None,
-                  metrics=None, executor_mode: str | None = None,
+                  progress=None, metrics=None,
+                  executor_mode: str | None = None,
                   block_batch: int | None = None,
                   attribution: bool = False) -> TestsuiteReport:
     """Run the grid; ``progress`` (if given) is called per finished case.
 
-    ``profiler`` (a :class:`repro.obs.Profiler`) accumulates kernel
-    records and spans across every case; ``metrics`` (a
-    :class:`repro.obs.MetricsRegistry`, defaulting to the profiler's when
-    one is attached) tallies per-compiler case outcomes under
-    ``testsuite.*`` names.
+    ``metrics`` (a :class:`repro.obs.MetricsRegistry` the caller owns)
+    tallies per-compiler case outcomes under ``testsuite.*`` names; an
+    enclosing ``with Profiler():`` captures every case's kernel records
+    and spans.
     """
-    if metrics is None and profiler is not None:
-        metrics = profiler.metrics
     report = TestsuiteReport(compilers=tuple(compilers))
     cases = generate_cases(positions=positions, ops=ops, ctypes=ctypes,
                            size=size, sizes=sizes)
@@ -109,7 +106,7 @@ def run_testsuite(compilers=DEFAULT_COMPILERS, positions=POSITIONS,
         for comp in compilers:
             r = run_case(case, comp, num_gangs=num_gangs,
                          num_workers=num_workers,
-                         vector_length=vector_length, profiler=profiler,
+                         vector_length=vector_length,
                          executor_mode=executor_mode,
                          block_batch=block_batch, attribution=attribution)
             report.results.append(r)

@@ -53,32 +53,31 @@ def _matches(expected, got, ctype: str) -> bool:
 def run_case(case: ReductionCase, compiler: str = "openuh", *,
              num_gangs: int | None = None, num_workers: int | None = None,
              vector_length: int | None = None, seed: int = 42,
-             profiler=None, executor_mode: str | None = None,
+             executor_mode: str | None = None,
              block_batch: int | None = None, attribution: bool = False,
              **compile_overrides) -> CaseResult:
     """Compile and run one case; verify against the CPU reference.
 
-    ``profiler`` (a :class:`repro.obs.Profiler`) accumulates the case's
-    compile phases, transfers, and kernel launches — the testsuite sweep
-    passes one profiler through every case to build a whole-run profile.
+    An enclosing ``with Profiler():`` captures the case's compile phases,
+    transfers, and kernel launches like any other run.
     ``executor_mode`` / ``block_batch`` select the simulator's executor
     path (see :meth:`repro.gpu.executor.CompiledKernel.run`); results are
     identical either way, only wall-clock differs.  ``attribution=True``
     fills per-statement tables on every launch's stats (visible through
-    the profiler's kernel records).
+    kernel records of an enclosing profiler).
     """
     name = compiler if isinstance(compiler, str) else compiler.name
     try:
         prog = acc.compile(case.source, compiler=compiler,
                            num_gangs=num_gangs, num_workers=num_workers,
-                           vector_length=vector_length, profiler=profiler,
+                           vector_length=vector_length,
                            **compile_overrides)
     except CompileError as exc:
         return CaseResult(case, name, CE, detail=str(exc))
 
     rng = np.random.default_rng(seed)
     inputs = case.make_inputs(rng)
-    result = prog.run(profiler=profiler, executor_mode=executor_mode,
+    result = prog.run(executor_mode=executor_mode,
                       block_batch=block_batch, attribution=attribution,
                       **inputs)
 

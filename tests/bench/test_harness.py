@@ -81,9 +81,12 @@ class TestProfileSinkTruncation:
 
         from repro.bench.harness import ProfileSink
 
+        from repro.obs import timeline
+
         sink = ProfileSink(str(tmp_path / "p.json"))
-        with sink.profiler.phase("sweep"):
-            pass
+        with sink.profiler:
+            with timeline.current().timed_span("passes", "pass:sweep"):
+                pass
         path = sink.write({"bench": "t"},
                           truncated_by=RuntimeError("died mid-sweep"))
         doc = json.loads(open(path).read())

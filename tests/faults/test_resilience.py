@@ -39,8 +39,9 @@ class TestRetry:
         # p=1 with max_faults=1: the first launch fails deterministically,
         # the injector disarms, and the retry succeeds
         inj = FaultPlan(seed=0, p_launch_fail=1.0, max_faults=1).injector()
-        prof = Profiler()
-        res = _compile().run(faults=inj, profiler=prof, a=a128)
+        prog = _compile()
+        with Profiler() as prof:
+            res = prog.run(faults=inj, a=a128)
         assert res.attempts == 2
         assert res.scalars["total"] == a128.sum()
         assert res.strategy == "primary" and not res.degradations
@@ -78,8 +79,8 @@ class TestDegradation:
             main, "run",
             lambda *a, **k: (_ for _ in ()).throw(
                 SimulationError("injected lowering defect")))
-        prof = Profiler()
-        res = prog.run(degrade=True, profiler=prof, a=a128)
+        with Profiler() as prof:
+            res = prog.run(degrade=True, a=a128)
         assert res.strategy == "shared-tree"
         assert res.degraded
         assert len(res.degradations) == 1
@@ -136,8 +137,9 @@ class TestVoting:
         # one corrupted replica out of three: majority serves the truth
         inj = FaultPlan(seed=1, p_transfer_corrupt=1.0,
                         max_faults=1).injector()
-        prof = Profiler()
-        res = _compile().run(faults=inj, runs=3, profiler=prof, a=a128)
+        prog = _compile()
+        with Profiler() as prof:
+            res = prog.run(faults=inj, runs=3, a=a128)
         assert res.scalars["total"] == a128.sum()
         assert any("vote" in str(d) for d in res.degradations)
         counters = prof.metrics.to_dict()["counters"]

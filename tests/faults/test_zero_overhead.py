@@ -29,7 +29,7 @@ class TestZeroOverhead:
         prog = acc.compile(SRC, num_gangs=4, num_workers=2,
                            vector_length=32)
         via_run = prog.run(**_inputs())
-        plain = prog._execute(trace=False, data_region=None, profiler=None,
+        plain = prog._execute(trace=False, data_region=None,
                               kwargs=_inputs())
 
         assert via_run.strategy == "primary"

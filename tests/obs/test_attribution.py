@@ -251,10 +251,10 @@ class TestZeroOverhead:
 class TestRenderings:
     def _attributed_profile(self):
         case = make_case("gang worker vector", "+", "float", size=640)
-        prof = obs.Profiler()
-        prog = acc.compile(case.source, **GEOM, profiler=prof)
-        res = prog.run(profiler=prof, attribution=True,
-                       **case.make_inputs(np.random.default_rng(42)))
+        with obs.Profiler() as prof:
+            prog = acc.compile(case.source, **GEOM)
+            res = prog.run(attribution=True,
+                           **case.make_inputs(np.random.default_rng(42)))
         return prof, prog, res
 
     def test_annotated_listing_lines_up_with_the_dump(self):
@@ -317,9 +317,8 @@ class TestRenderings:
         assert "dominant_sid" in doc["roofline"]
         # and a plain record omits both keys entirely
         case = make_case("gang", "+", "float", size=160)
-        prof2 = obs.Profiler()
         prog2 = acc.compile(case.source, **GEOM)
-        prog2.run(profiler=prof2,
-                  **case.make_inputs(np.random.default_rng(42)))
+        with obs.Profiler() as prof2:
+            prog2.run(**case.make_inputs(np.random.default_rng(42)))
         plain = prof2.kernels[0].to_dict()
         assert "attribution" not in plain and "roofline" not in plain

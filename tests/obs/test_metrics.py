@@ -187,13 +187,13 @@ for (i = 0; i < n; i++)
         a = np.ones(256, dtype=np.float32)
         profiler = Profiler()
         timeline.uninstall()
-        with timeline.enabled() as tl:
-            prog.run(profiler=profiler, a=a)
+        with timeline.enabled() as tl, profiler:
+            prog.run(a=a)
             first_launches = profiler.metrics.counter(
                 "profiler.kernel_launches").value
             first_events = tl.drain()
             profiler.metrics.reset()
-            prog.run(profiler=profiler, a=a)
+            prog.run(a=a)
             second_events = tl.drain()
         assert first_launches > 0
         assert (profiler.metrics.counter("profiler.kernel_launches").value

@@ -24,12 +24,12 @@ GEOM = dict(num_gangs=2, num_workers=2, vector_length=32)
 
 @pytest.fixture
 def profiled_run():
-    prof = Profiler()
     # the record pins below describe the paper-shape two-kernel plan;
     # the optimized pipeline fuses the finish kernel and retunes, which
     # tests/passes cover separately
-    prog = acc.compile(VECSUM, profiler=prof, **GEOM, pipeline="minimal")
-    res = prog.run(a=np.arange(N, dtype=np.float32), profiler=prof)
+    with Profiler() as prof:
+        prog = acc.compile(VECSUM, **GEOM, pipeline="minimal")
+        res = prog.run(a=np.arange(N, dtype=np.float32))
     return prof, prog, res
 
 
@@ -105,16 +105,17 @@ class TestTraceOutput:
 
     def test_finalize_span_encloses_finish_kernel(self, profiled_run):
         prof, _, _ = profiled_run
-        spans = {s.name: s for s in prof.trace.spans}
+        spans = {e["name"]: e for e in prof.to_dict()["traceEvents"]
+                 if e["ph"] == "X"}
         fin = spans["finalize:total"]
         kern = spans["acc_reduction_finish_total"]
-        assert fin.start_us <= kern.start_us
-        assert fin.start_us + fin.dur_us >= kern.start_us + kern.dur_us
+        assert fin["ts"] <= kern["ts"]
+        assert fin["ts"] + fin["dur"] >= kern["ts"] + kern["dur"]
 
     def test_structured_trace_consumed_when_enabled(self):
-        prof = Profiler()
-        prog = acc.compile(VECSUM, profiler=prof, **GEOM)
-        prog.run(a=np.ones(N, dtype=np.float32), profiler=prof, trace=True)
+        with Profiler() as prof:
+            prog = acc.compile(VECSUM, **GEOM)
+            prog.run(a=np.ones(N, dtype=np.float32), trace=True)
         main = prof.kernels_named("acc_region_main")[0]
         assert len(main.stats.trace) > 0
         assert prof.metrics.counter("profiler.trace_events.gload").value > 0
@@ -127,11 +128,12 @@ class TestTraceOutput:
 class TestAccumulation:
     def test_metrics_accumulate_across_repeated_launches(self):
         prof = Profiler()
-        prog = acc.compile(VECSUM, profiler=prof, **GEOM,
-                           pipeline="minimal")
+        with prof:
+            prog = acc.compile(VECSUM, **GEOM, pipeline="minimal")
         a = np.ones(N, dtype=np.float32)
         for _ in range(3):
-            prog.run(a=a, profiler=prof)
+            with prof:  # one profiler, entered once per run
+                prog.run(a=a)
         m = prof.metrics
         assert m.counter("profiler.kernel_launches").value == 6
         assert m.counter("profiler.transfers").value == 6  # h2d:a + d2h result per run
@@ -145,9 +147,8 @@ class TestAccumulation:
         """Same program, with and without a profiler: identical results."""
         a = np.arange(N, dtype=np.float32)
         bare = acc.compile(VECSUM, **GEOM).run(a=a)
-        prof = Profiler()
-        seen = acc.compile(VECSUM, profiler=prof, **GEOM).run(
-            a=a, profiler=prof)
+        with Profiler():
+            seen = acc.compile(VECSUM, **GEOM).run(a=a)
         assert bare.scalars["total"] == seen.scalars["total"]
         assert bare.ledger.total_us == pytest.approx(seen.ledger.total_us)
 
@@ -164,3 +165,46 @@ class TestReport:
 
     def test_empty_profiler_report(self):
         assert "no kernel launches" in format_profile(Profiler())
+
+
+class TestListener:
+    """The profiler listens on the bus: it sees every event before the
+    bus samples or bounds it, and never changes what the bus exports."""
+
+    def _scenario(self, *, outer: bool, profile: bool):
+        from contextlib import nullcontext
+
+        from repro.obs import timeline
+
+        prof = Profiler() if profile else None
+        bus = (timeline.enabled(sample={"gpu": 10}, capacity=16)
+               if outer else nullcontext())
+        with bus as tl, (prof if prof is not None else nullcontext()):
+            prog = acc.compile(VECSUM, **GEOM, pipeline="minimal")
+            a = np.arange(N, dtype=np.float32)
+            for _ in range(3):
+                prog.run(a=a, attribution=True)
+        return prof, tl
+
+    @staticmethod
+    def _export(tl):
+        """The bus export without wall-clock fields."""
+        return tl.header(), [
+            {k: v for k, v in ev.to_dict().items()
+             if k not in ("seq", "ts_us", "dur_us")}
+            for ev in tl.events()]
+
+    def test_profile_under_sampled_bus_matches_unbused_profile(self):
+        from repro.obs import timeline
+
+        alone, _ = self._scenario(outer=False, profile=True)
+        assert timeline.current() is None  # the relay left with it
+        under, tl = self._scenario(outer=True, profile=True)
+        assert tl.sampled_out > 0 and tl.dropped > 0
+        assert len(under.kernels) == len(alone.kernels) == 6
+        assert ([k.to_dict() for k in under.kernels]
+                == [k.to_dict() for k in alone.kernels])
+        assert under.metrics.to_dict() == alone.metrics.to_dict()
+        # the profiler's presence does not change the outer bus export
+        _, bare = self._scenario(outer=True, profile=False)
+        assert self._export(tl) == self._export(bare)

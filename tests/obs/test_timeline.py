@@ -201,3 +201,56 @@ class TestEmitSites:
         dec = [e for e in tl.events("gpu", kind="decision")
                if e.name == "executor-mode"]
         assert dec and dec[0].attrs["mode"] == "reference"
+
+
+class TestConcurrency:
+    def test_readers_prune_and_drain_race_concurrent_emitters(self):
+        """Three threads emit while the main thread prunes other traces,
+        reads, exports and drains: no reader raises, and no event of an
+        unpruned trace is lost, duplicated or reordered."""
+        import sys
+        import threading
+
+        n_old, n_keep, n_threads = 5000, 15000, 3
+        tl = Timeline(capacity=1 << 20)
+        for i in range(n_old):
+            tl.emit("gpu", "counter", "pre", trace_id="old", i=i)
+
+        def emitter(k):
+            for i in range(n_keep):
+                tl.emit("gpu", "span", "kernel:k", 1.0, trace_id=f"keep{k}",
+                        i=i)
+
+        threads = [threading.Thread(target=emitter, args=(k,))
+                   for k in range(n_threads)]
+        collected = []
+        # switch threads often so every reader overlaps an append
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            for t in threads:
+                t.start()
+            j = 0
+            while any(t.is_alive() for t in threads):
+                tl.prune_trace(f"gone{j}")
+                if j % 10 == 0:
+                    tl.to_jsonl()
+                else:
+                    tl.categories()
+                if j % 20 == 19:
+                    collected.extend(tl.drain())
+                j += 1
+        finally:
+            for t in threads:
+                t.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        collected.extend(tl.drain())
+
+        def indices(trace_id):
+            return [ev.attrs["i"] for ev in collected
+                    if ev.attrs["trace_id"] == trace_id]
+
+        assert indices("old") == list(range(n_old))
+        for k in range(n_threads):
+            assert indices(f"keep{k}") == list(range(n_keep))

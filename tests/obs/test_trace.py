@@ -1,38 +1,61 @@
-"""Trace-recorder behavior and Chrome-trace export schema."""
+"""The profiler's Chrome layout (a pure function of the bus events it
+heard) and the Chrome-trace export schema."""
 
 import json
 
 import numpy as np
 
-from repro.obs.trace import CounterSample, Span, TraceRecorder
+from repro.gpu.costmodel import TimeBreakdown
+from repro.gpu.device import K20C
+from repro.gpu.events import AttributionTable, KernelStats
+from repro.obs import Profiler, timeline
+from repro.obs.trace import chrome_span
+
+
+def _kernel(name, us, attribution=None, **attrs):
+    """Emit a kernel span the way the launch path does (modeled ``us``)."""
+    st = KernelStats(attribution=attribution)
+    timeline.emit("gpu", "span", f"kernel:{name}", us,
+                  refs={"stats": st, "timing": TimeBreakdown(launch_us=us),
+                        "block": (32, 1), "device": K20C},
+                  grid=attrs.pop("grid", 1), **attrs)
+
+
+def _xs(prof):
+    return [e for e in prof.to_dict()["traceEvents"] if e["ph"] == "X"]
 
 
 class TestRecorder:
     def test_spans_lay_out_back_to_back(self):
-        tr = TraceRecorder()
-        a = tr.add("k1", "kernel", 10.0)
-        b = tr.add("k2", "kernel", 5.0)
-        assert a.start_us == 0.0 and a.dur_us == 10.0
-        assert b.start_us == 10.0
-        assert tr.now() == 15.0
+        with Profiler() as prof:
+            _kernel("k1", 10.0)
+            _kernel("k2", 5.0)
+        a, b = _xs(prof)
+        assert a["ts"] == 0.0 and a["dur"] == 10.0
+        assert b["ts"] == 10.0
+        assert prof.modeled_us == 15.0
 
     def test_tracks_have_independent_clocks(self):
-        tr = TraceRecorder()
-        tr.add("compile", "compile", 100.0, track="host")
-        k = tr.add("kernel", "kernel", 7.0)
-        assert k.start_us == 0.0
-        assert tr.now("host") == 100.0
-        assert tr.now("device") == 7.0
+        with Profiler() as prof:
+            timeline.emit("passes", "span", "pass:compile", 100.0)
+            _kernel("kernel", 7.0)
+        host, k = _xs(prof)
+        assert host["name"] == "compile" and host["dur"] == 100.0
+        assert k["ts"] == 0.0
+        assert prof.modeled_us == 7.0
 
     def test_region_encloses_children(self):
-        tr = TraceRecorder()
-        with tr.region("run", "run") as parent:
-            tr.add("h2d", "transfer", 3.0)
-            tr.add("main", "kernel", 9.0)
-        assert parent.start_us == 0.0
-        assert parent.dur_us == 12.0
-        # the parent span is recorded before its children
-        assert tr.spans[0] is parent
+        with Profiler() as prof:
+            with timeline.current().timed_span("acc", "run", region="run"):
+                timeline.emit("gpu", "span", "transfer:h2d", 3.0, bytes=4,
+                              direction="h2d")
+                _kernel("main", 9.0)
+        parent, h2d, main = _xs(prof)
+        assert parent["name"] == "run" and parent["cat"] == "run"
+        assert parent["ts"] == 0.0
+        assert parent["dur"] == 12.0
+        # the parent span is laid out before its children
+        assert (h2d["name"], main["name"]) == ("h2d", "main")
 
 
 class TestChromeExport:
@@ -56,9 +79,9 @@ class TestChromeExport:
         return xs
 
     def test_document_shape(self):
-        tr = TraceRecorder()
-        tr.add("k", "kernel", 2.5, grid=4)
-        doc = json.loads(tr.to_json())
+        with Profiler() as prof:
+            _kernel("k", 2.5, grid=4)
+        doc = json.loads(prof.to_json())
         xs = self._validate(doc)
         assert len(xs) == 1
         assert xs[0]["name"] == "k"
@@ -68,27 +91,27 @@ class TestChromeExport:
         assert len(names) == 2
 
     def test_device_and_host_get_distinct_tids(self):
-        tr = TraceRecorder()
-        tr.add("d", "kernel", 1.0)
-        tr.add("h", "compile", 1.0, track="host")
-        xs = self._validate(tr.to_chrome())
+        with Profiler() as prof:
+            _kernel("d", 1.0)
+            timeline.emit("passes", "span", "pass:h", 1.0)
+        xs = self._validate(prof.to_dict())
         assert xs[0]["tid"] != xs[1]["tid"]
 
     def test_span_round_trips_through_json(self):
-        s = Span("n", "c", 1.25, 2.5, "device", {"k": 1})
-        assert json.loads(json.dumps(s.to_chrome()))["dur"] == 2.5
+        s = chrome_span("n", "c", 1.25, 2.5, "device", {"k": 1})
+        assert json.loads(json.dumps(s))["dur"] == 2.5
 
     def test_counter_samples_export_as_C_events(self):
-        tr = TraceRecorder()
-        tr.add("k", "kernel", 4.0)
-        c = tr.counter("k.stmt_gtx", {"s0": 12, "s3": 7})
-        assert isinstance(c, CounterSample)
-        assert c.ts_us == 4.0  # sampled at the track clock, after the span
-        doc = json.loads(tr.to_json())
+        table = AttributionTable()
+        table.row(0).global_transactions = 12
+        table.row(3).global_transactions = 7
+        with Profiler() as prof:
+            _kernel("k", 4.0, attribution=table)
+        doc = json.loads(prof.to_json())
         self._validate(doc)
         cs = [e for e in doc["traceEvents"] if e["ph"] == "C"]
-        assert len(cs) == 1
-        assert cs[0]["name"] == "k.stmt_gtx"
+        assert [c["name"] for c in cs] == ["k.stmt_gtx", "k.stmt_slots"]
+        # sampled at the track clock, after the span
         assert cs[0]["ts"] == 4.0
         assert cs[0]["args"] == {"s0": 12, "s3": 7}
 
@@ -108,11 +131,10 @@ for (i = 0; i < n; i++)
 
     def _profiled_doc(self):
         from repro import acc, obs
-        prof = obs.Profiler()
-        prog = acc.compile(self.SRC, num_gangs=4, num_workers=2,
-                           vector_length=32, profiler=prof)
-        prog.run(profiler=prof,
-                 a=(np.arange(256) % 7).astype(np.float32))
+        with obs.Profiler() as prof:
+            prog = acc.compile(self.SRC, num_gangs=4, num_workers=2,
+                               vector_length=32)
+            prog.run(a=(np.arange(256) % 7).astype(np.float32))
         return prof, json.loads(prof.to_json())
 
     def test_run_region_encloses_transfer_and_kernel_spans(self):

@@ -100,9 +100,9 @@ class TestVisibility:
     def test_decisions_in_profiler_record(self):
         from repro.obs import Profiler
 
-        prof = Profiler()
-        prog = acc.compile(INT_GANG, **GEOM, profiler=prof)
-        prog.run(a=np.ones(1024, dtype=np.float32), profiler=prof)
+        with Profiler() as prof:
+            prog = acc.compile(INT_GANG, **GEOM)
+            prog.run(a=np.ones(1024, dtype=np.float32))
         rec = prof.kernels_named("acc_region_main")[0]
         assert rec.strategy["pipeline"] == "optimized"
         if "autotune" in prog.strategy:

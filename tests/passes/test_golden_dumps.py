@@ -92,11 +92,10 @@ class TestAnnotateShowsPostOptimizationIR:
     def test_attributed_listing_contains_fused_epilogue(self):
         from repro.obs import Profiler, annotate_record
 
-        prof = Profiler()
-        prog = acc.compile(SRC, **GEOM, pipeline="optimized", profiler=prof)
-        assert len(prog.lowered.kernels) == 1  # finish kernel fused away
-        prog.run(a=np.ones(2048, dtype=np.float32), profiler=prof,
-                 attribution=True)
+        with Profiler() as prof:
+            prog = acc.compile(SRC, **GEOM, pipeline="optimized")
+            assert len(prog.lowered.kernels) == 1  # finish kernel fused away
+            prog.run(a=np.ones(2048, dtype=np.float32), attribution=True)
         rec = prof.kernels_named("acc_region_main")[0]
         text = annotate_record(rec)
         # the annotated listing renders the post-optimization kernel:

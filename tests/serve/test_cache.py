@@ -9,7 +9,8 @@ import pytest
 
 from repro import acc
 from repro.gpu.device import K20C
-from repro.serve.cache import CompileCache, device_fingerprint
+from repro.serve.cache import (PAYLOAD_VERSION, CompileCache,
+                               device_fingerprint)
 
 SRC = """
 int a[n];
@@ -155,6 +156,30 @@ class TestCorruptionRecovery:
         _, status = cache.compile(SRC, **GEOM)
         assert status == "miss"
         assert cache.stats()["corrupt"] == 1
+
+    def test_previous_payload_version_is_a_miss(self, cache):
+        """A v3 entry (trace source calling helpers the executor no
+        longer defines) must recompile, not reach the executor."""
+        import hashlib
+
+        def as_v3(blob):
+            nl = blob.index(b"\n")
+            doc = pickle.loads(blob[nl + 1:])
+            doc["v"] = 3
+            payload = pickle.dumps(doc)
+            header = b" ".join((
+                b"REPROCC1",
+                hashlib.sha256(payload).hexdigest().encode(),
+                str(len(payload)).encode())) + b"\n"
+            return header + payload
+
+        self._poisoned(cache, as_v3)
+        prog, status = cache.compile(SRC, **GEOM)
+        assert status == "miss"
+        assert cache.stats()["corrupt"] == 1
+        a = np.arange(64, dtype=np.int32)
+        res = prog.run(a=a, executor_mode="trace", attribution=True)
+        assert res.scalars["s"] == a.sum()
 
     def test_checksum_catches_silent_bitflip(self, cache):
         def flip(blob):
@@ -338,3 +363,46 @@ class TestPruneAndClear:
         assert st["entries"] == 0 and st["stores"] == 0
         _, status = cache.compile(SRC, **GEOM)
         assert status == "miss"
+
+
+class TestPayloadVersionPin:
+    """Cached payloads carry the generated trace source, so a trace
+    codegen change must bump ``PAYLOAD_VERSION``.  The pin holds the
+    version next to a hash of the codegen output over a fixed kernel
+    set: when the hash moves, bump the version in serve/cache.py and
+    update both values here."""
+
+    PIN = (4, "a1093a608d450a249521f9dbb7c40a98"
+              "b5be5a4be9d41b3a53b72bd76f5e2919")
+    # a fresh interpreter: the log-step lowering numbers its temporaries
+    # from a process-wide counter, so the source depends on how many
+    # programs this process compiled before
+    SCRIPT = """
+import hashlib
+from repro import acc
+from repro.testsuite.cases import make_case
+h, emitted = hashlib.sha256(), 0
+for case in (("gang worker vector", "+", "float"), ("gang", "+", "float"),
+             ("worker vector", "*", "double"), ("vector", "+", "int"),
+             ("gang worker", "+", "double")):
+    prog = acc.compile(make_case(*case).source, num_gangs=8, num_workers=2,
+                       vector_length=32, pipeline="optimized")
+    for name in sorted(prog.trace_src):
+        h.update(name.encode())
+        h.update(prog.trace_src[name].encode())
+        emitted += 1
+print(emitted, h.hexdigest())
+"""
+
+    def test_trace_codegen_hash_matches_payload_version(self):
+        import os
+
+        out = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT], check=True,
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        emitted, digest = out.stdout.split()
+        assert emitted == "5"
+        assert (PAYLOAD_VERSION, digest) == self.PIN, (
+            "trace codegen output changed: bump PAYLOAD_VERSION in "
+            "repro/serve/cache.py, then update PIN")
