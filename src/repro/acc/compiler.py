@@ -2,10 +2,10 @@
 
 ``acc.compile`` runs the whole pipeline — parse, build IR, analyze
 reductions (with the profile's span-inference policy), check the profile's
-declared-unsupported shapes, lower with the profile's strategy options, and
-pre-compile every kernel for the simulator.  ``Program.run`` executes the
-launch plan over a fresh data environment and returns outputs plus modeled
-timing.
+declared-unsupported shapes, and lower with the profile's strategy options;
+each kernel builds its simulator code on its first launch.  ``Program.run``
+executes the launch plan over a fresh data environment and returns outputs
+plus modeled timing.
 """
 
 from __future__ import annotations
@@ -98,12 +98,15 @@ class RunResult:
 
 
 class Program:
-    """A compiled OpenACC region, runnable on the simulated device."""
+    """A compiled OpenACC region, runnable on the simulated device.
+
+    It holds kernel IR, not executor code: each kernel's
+    :class:`~repro.gpu.executor.CompiledKernel` builds the code a launch
+    needs on that launch, trace source included."""
 
     def __init__(self, lowered: LoweredProgram, profile: CompilerProfile,
                  device: DeviceProperties, *, pipeline: str = "",
-                 autotune: dict | None = None, pass_records=None,
-                 trace_src: dict | None = None):
+                 autotune: dict | None = None, pass_records=None):
         self.lowered = lowered
         self.profile = profile
         self.device = device
@@ -116,17 +119,9 @@ class Program:
         #: PassRecord list from the pass manager (``capture_ir=True``
         #: compiles carry before/after listings for explain/--dump-ir)
         self.pass_records = list(pass_records or [])
-        #: kernel name -> trace-executor NumPy source from the
-        #: trace-codegen pass (or a serve-cache payload); eligible
-        #: kernels only — see :mod:`repro.passes.tracegen`
-        self.trace_src = dict(trace_src or {})
         self._cost = CostModel(device)
         self._compiled = {k.name: CompiledKernel(k, device)
                           for k in lowered.kernels}
-        for name, src in self.trace_src.items():
-            ck = self._compiled.get(name)
-            if ck is not None:
-                ck.attach_trace_source(src)
         # vendor-a data-clause defect state (§4, heat equation):
         # reduction scalars cached on "the device" across runs
         self._stale_cache: dict[str, np.generic] = {}
@@ -701,5 +696,4 @@ def compile(source: str, *, compiler: str | CompilerProfile = "openuh",
               else nullcontext()):
             return Program(state.lowered, profile, device,
                            pipeline=state.pipeline, autotune=state.autotune,
-                           pass_records=state.records,
-                           trace_src=state.trace_src)
+                           pass_records=state.records)

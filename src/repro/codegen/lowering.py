@@ -854,20 +854,20 @@ class _Lowerer:
             ls = logstep_reduce(arr, bdx, op, dtype, lane=tx,
                                 base=K.Bin("*", ty, K.const_int(bdx)),
                                 stride=1,
-                                elide_warp_sync=False)
+                                elide_warp_sync=False, uid=self.uid)
             res_idx: K.Expr = K.Bin("*", ty, K.const_int(bdx))
         elif layout == "transposed":
             store_idx = transposed_store
             ls = logstep_reduce(arr, bdx, op, dtype, lane=tx, base=ty,
                                 stride=bdy,
-                                elide_warp_sync=self._elide(bdx))
+                                elide_warp_sync=self._elide(bdx), uid=self.uid)
             res_idx = ty
         else:
             store_idx = row_store
             ls = logstep_reduce(arr, bdx, op, dtype, lane=tx,
                                 base=K.Bin("*", ty, K.const_int(bdx)),
                                 stride=1,
-                                elide_warp_sync=self._elide(bdx))
+                                elide_warp_sync=self._elide(bdx), uid=self.uid)
             res_idx = K.Bin("*", ty, K.const_int(bdx))
         res = self._tmp("vres")
         return [
@@ -893,7 +893,7 @@ class _Lowerer:
             ls = logstep_reduce(arr, bdy, op, dtype, lane=tx,
                                 guard=K.Bin("==", ty, K.const_int(0)),
                                 stride=max(bdy, 1) if bdy > 1 else 1,
-                                elide_warp_sync=False)
+                                elide_warp_sync=False, uid=self.uid)
             return [
                 K.If(K.Bin("==", tx, K.const_int(0)),
                      (K.SStore(arr, ty, value),)),
@@ -910,7 +910,8 @@ class _Lowerer:
         if bdx >= max(1, bdy // 2) or bdy == 1:
             ls = logstep_reduce(arr, bdy, op, dtype, lane=tx,
                                 guard=K.Bin("==", ty, K.const_int(0)),
-                                elide_warp_sync=self.opts.elide_warp_sync)
+                                elide_warp_sync=self.opts.elide_warp_sync,
+                                uid=self.uid)
             steps: list[K.Stmt] = list(ls.stmts)
         else:
             # degenerate geometry (vector_length < num_workers/2): a single
@@ -949,7 +950,7 @@ class _Lowerer:
         ls = logstep_reduce(arr, bdy, op, dtype, lane=tx,
                             base=K.Bin("*", ty, K.const_int(bdy)), stride=1,
                             guard=K.Bin("<", ty, K.const_int(bdy)),
-                            elide_warp_sync=False)
+                            elide_warp_sync=False, uid=self.uid)
         return [
             # stage each worker's value at [ty], then fan out to every row
             K.If(K.Bin("==", tx, K.const_int(0)),
@@ -981,7 +982,8 @@ class _Lowerer:
         arr = self._need_shared(dtype, ntid)
         tid = K.Special("tid")
         ls = logstep_reduce(arr, ntid, op, dtype, lane=tid,
-                            elide_warp_sync=self.opts.elide_warp_sync)
+                            elide_warp_sync=self.opts.elide_warp_sync,
+                            uid=self.uid)
         res = self._tmp("fres")
         return [
             K.SStore(arr, tid, value),
@@ -1006,7 +1008,7 @@ class _Lowerer:
         ls = logstep_reduce(buf, ntid, info.op, info.dtype, lane=tid,
                             base=base, stride=1,
                             elide_warp_sync=self.opts.elide_warp_sync,
-                            space="global")
+                            space="global", uid=self.uid)
         res = self._tmp("gres")
         return [
             K.Comment(f"reduce {info.var} across worker&vector in global "
@@ -1296,7 +1298,8 @@ class _Lowerer:
         tx = K.Special("tx")
         arr = f"_sfin_{dtype.value}"
         ls = logstep_reduce(arr, bdx, op, dtype, lane=tx,
-                            elide_warp_sync=self.opts.elide_warp_sync)
+                            elide_warp_sync=self.opts.elide_warp_sync,
+                            uid=self.uid)
         t = "_fld"
         body: tuple[K.Stmt, ...] = (
             K.Assign("_facc", op.identity_const(dtype)),

@@ -27,7 +27,7 @@ in shared-memory bank conflicts, which the simulator counts.
 
 from __future__ import annotations
 
-import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from repro.dtypes import DType
@@ -38,8 +38,6 @@ from repro.codegen.reduction.operators import ReductionOperator
 from repro.codegen.reduction.treeutil import prev_pow2
 
 __all__ = ["LogStepReduction", "logstep_reduce", "prev_pow2"]
-
-_uid = itertools.count()
 
 
 @dataclass
@@ -78,6 +76,7 @@ def logstep_reduce(
     leading_sync: bool = True,
     trailing_sync: bool = False,
     space: str = "shared",
+    uid: Iterator[int] | None = None,
 ) -> LogStepReduction:
     """Emit an unrolled interleaved log-step reduction over ``n`` elements.
 
@@ -93,12 +92,16 @@ def logstep_reduce(
     (default) or ``"global"`` — the §3.3 fallback for kernels whose shared
     memory is reserved for other computation (``arr`` then names a global
     buffer).
+
+    ``uid`` numbers the temporaries ``_ls{u}_a``/``_ls{u}_b`` (default
+    0): the lowering passes its per-compile counter, so names are unique
+    within a compile and independent of earlier compiles.
     """
     if n < 1:
         raise LoweringError(f"cannot reduce {n} elements")
     if space not in ("shared", "global"):
         raise LoweringError(f"unknown reduction space {space!r}")
-    u = next(_uid)
+    u = next(uid) if uid is not None else 0
     t1, t2 = f"_ls{u}_a", f"_ls{u}_b"
     stmts: list[K.Stmt] = []
     syncs = 0

@@ -37,36 +37,46 @@ _OPERATORS = [
     "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "++", "--",
     "+", "-", "*", "/", "%", "<", ">", "=", "&", "|", "^", "!", "~", "?", ":",
 ]
-_PUNCT = ["(", ")", "{", "}", "[", "]", ";", ","]
+_PUNCT = "(){}[];,"
 
-_ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUM_RE = re.compile(
-    r"(?:\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
-    r"|\d+[eE][+-]?\d+|\d+)[fFlLuU]*"
-)
-_HEX_RE = re.compile(r"0[xX][0-9a-fA-F]+[uUlL]*")
+#: one token per match, alternatives in the order the rules apply:
+#: blanks, number (hex first), identifier, operator (longest first),
+#: punctuation
+_TOKEN_RE = re.compile("|".join((
+    r"(?P<WS>[ \t\r]+)",
+    r"(?P<NUM>0[xX][0-9a-fA-F]+[uUlL]*"
+    r"|(?:\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
+    r"|\d+[eE][+-]?\d+|\d+)[fFlLuU]*)",
+    r"(?P<ID>[A-Za-z_][A-Za-z0-9_]*)",
+    "(?P<OP>" + "|".join(map(re.escape, _OPERATORS)) + ")",
+    "(?P<PUNCT>[" + re.escape(_PUNCT) + "])",
+)))
 
 
 def _strip_comments(src: str) -> str:
     """Remove comments, preserving line structure for error reporting."""
     out: list[str] = []
     i, n = 0, len(src)
-    while i < n:
-        c = src[i]
-        if c == "/" and i + 1 < n and src[i + 1] == "/":
-            j = src.find("\n", i)
-            i = n if j < 0 else j
-        elif c == "/" and i + 1 < n and src[i + 1] == "*":
-            j = src.find("*/", i + 2)
-            if j < 0:
+    while True:
+        j = src.find("/", i)
+        if j < 0 or j + 1 >= n:
+            out.append(src[i:])
+            return "".join(out)
+        if src[j + 1] == "/":
+            out.append(src[i:j])
+            k = src.find("\n", j)
+            i = n if k < 0 else k
+        elif src[j + 1] == "*":
+            out.append(src[i:j])
+            k = src.find("*/", j + 2)
+            if k < 0:
                 raise ParseError("unterminated /* comment",
-                                 line=src.count("\n", 0, i) + 1)
-            out.append("\n" * src.count("\n", i, j + 2))
-            i = j + 2
+                                 line=src.count("\n", 0, j) + 1)
+            out.append("\n" * src.count("\n", j, k + 2))
+            i = k + 2
         else:
-            out.append(c)
-            i += 1
-    return "".join(out)
+            out.append(src[i:j + 1])
+            i = j + 1
 
 
 def tokenize(src: str) -> list[Token]:
@@ -102,40 +112,20 @@ def tokenize(src: str) -> list[Token]:
 def _tokenize_line(line: str, lineno: int, out: list[Token]) -> None:
     i, n = 0, len(line)
     while i < n:
-        c = line[i]
-        if c in " \t\r":
-            i += 1
-            continue
-        m = _HEX_RE.match(line, i)
-        if m:
-            out.append(Token("INT", m.group(), lineno, i + 1))
-            i = m.end()
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and line[i + 1].isdigit()):
-            m = _NUM_RE.match(line, i)
-            if not m:
+        m = _TOKEN_RE.match(line, i)
+        if m is None:
+            c = line[i]
+            if c.isdigit() or (c == "." and i + 1 < n
+                               and line[i + 1].isdigit()):
                 raise ParseError(f"bad numeric literal near {line[i:i+8]!r}",
                                  line=lineno, col=i + 1)
-            text = m.group()
-            kind = "FLOAT" if ("." in text or "e" in text.lower()
-                               and not text.lower().startswith("0x")) else "INT"
+            raise ParseError(f"unexpected character {c!r}",
+                             line=lineno, col=i + 1)
+        kind, text = m.lastgroup, m.group()
+        if kind == "NUM":
+            low = text.lower()
+            kind = "FLOAT" if ("." in low or "e" in low
+                               and not low.startswith("0x")) else "INT"
+        if kind != "WS":
             out.append(Token(kind, text, lineno, i + 1))
-            i = m.end()
-            continue
-        m = _ID_RE.match(line, i)
-        if m:
-            out.append(Token("ID", m.group(), lineno, i + 1))
-            i = m.end()
-            continue
-        for op in _OPERATORS:
-            if line.startswith(op, i):
-                out.append(Token("OP", op, lineno, i + 1))
-                i += len(op)
-                break
-        else:
-            if c in _PUNCT:
-                out.append(Token("PUNCT", c, lineno, i + 1))
-                i += 1
-            else:
-                raise ParseError(f"unexpected character {c!r}",
-                                 line=lineno, col=i + 1)
+        i = m.end()

@@ -684,29 +684,56 @@ def _armed(faults):
     return faults if faults is not None and faults.armed else None
 
 
+def _check_vocabulary(kernel: K.Kernel) -> None:
+    """Raise the closure compiler's error for an unknown operator or
+    intrinsic, without compiling closures."""
+    stack = [getattr(s, f) for s, _ in K.walk_stmts(kernel.body)
+             for f in K.EXPR_FIELDS.get(type(s), ())]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, K.Bin):
+            if e.op not in _BINOPS and e.op not in ("&&", "||"):
+                raise SimulationError(f"unknown binary op {e.op!r}")
+            stack += (e.a, e.b)
+        elif isinstance(e, K.Un):
+            if e.op not in ("neg", "not", "inv"):
+                raise SimulationError(f"unknown unary op {e.op!r}")
+            stack.append(e.a)
+        elif isinstance(e, K.Call):
+            if e.fn not in _CALLS:
+                raise SimulationError(f"unknown intrinsic {e.fn!r}")
+            stack += e.args
+        elif isinstance(e, K.Cast):
+            stack.append(e.a)
+        elif isinstance(e, K.Select):
+            stack += (e.cond, e.a, e.b)
+
+
 class CompiledKernel:
     """A kernel compiled to Python closures, runnable over a grid.
 
     Compile once, launch many times (the heat-equation app re-launches its
-    two kernels hundreds of times).
+    two kernels hundreds of times).  Construction only checks operator
+    names; each executor builds its code on its first launch.
     """
 
     def __init__(self, kernel: K.Kernel, device: DeviceProperties):
+        _check_vocabulary(kernel)
         self.kernel = kernel
         self.device = device
         # segment-reuse slot -> stamped statement sid, filled as closures
         # compile (both executors share it: slots are globally unique)
         self._slot_sids: dict[int, int] = {}
-        self._body = _compile_block(kernel.body, device, self._slot_sids)
+        # per-block closures, compiled lazily on the first reference run
+        self._body = None
         # block-axis closures, compiled lazily on the first batched run
         self._batched_body = None
         self._batch_safety = None  # lazy block-independence verdict
         # set when a checked batched launch hit a cross-block access at
         # runtime; later launches then go straight to the reference path
         self._dynamic_fallback = False
-        # trace-compiled artifact: generated source (attachable from a
-        # pass-pipeline/serve-cache product, else emitted lazily), the
-        # exec'd chunk function, and its slot->sid map
+        # trace-compiled artifact, built on the first trace launch: the
+        # generated source, the exec'd chunk function, its slot->sid map
         self._trace_src: str | None = None
         self._trace_fn = None
         self._trace_slot_sids: dict[int, int] | None = None
@@ -735,15 +762,9 @@ class CompiledKernel:
             self._trace_safety = analyze_trace_safety(self.kernel)
         return self._trace_safety
 
-    def attach_trace_source(self, src: str) -> None:
-        """Adopt a pre-generated trace source (pass pipeline / serve
-        cache); the first trace launch then skips codegen entirely."""
-        if src and self._trace_src is None:
-            self._trace_src = src
-
     @property
     def trace_source(self) -> str | None:
-        """The generated trace source, if codegen has happened."""
+        """The generated trace source, once a trace launch emitted it."""
         return self._trace_src
 
     def _trace_callable(self):
@@ -751,8 +772,7 @@ class CompiledKernel:
         if self._trace_fn is None:
             from repro.gpu.executor_trace import (
                 compile_trace_source, emit_trace_source)
-            if self._trace_src is None:
-                self._trace_src = emit_trace_source(self.kernel, self.device)
+            self._trace_src = emit_trace_source(self.kernel, self.device)
             self._trace_fn, self._trace_slot_sids = compile_trace_source(
                 self._trace_src)
         return self._trace_fn
@@ -1020,6 +1040,10 @@ class CompiledKernel:
         env.attr = stats.attribution
         full = env.block_mask
         nw = env.nwarps
+        body = self._body
+        if body is None:
+            body = self._body = _compile_block(self.kernel.body, self.device,
+                                               self._slot_sids)
         # one shared-memory allocation serves the whole grid; contents
         # are zeroed between blocks exactly as a fresh allocation would be
         smem = SharedMemory(self.device, self.kernel.shared, stats,
@@ -1036,7 +1060,7 @@ class CompiledKernel:
                 if faults is not None:
                     gmem.fault_block = bx
                     smem.fault_block = bx
-                self._body(env, full, nw)
+                body(env, full, nw)
         finally:
             gmem.faults = prev_faults
             gmem.fault_block = None

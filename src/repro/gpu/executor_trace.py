@@ -124,20 +124,6 @@ def _expr_unsupported(e) -> str | None:
     return f"expression node {type(e).__name__}"
 
 
-def _stmt_exprs(s):
-    if isinstance(s, K.Assign):
-        return (s.value,)
-    if isinstance(s, K.GLoad):
-        return (s.index,)
-    if isinstance(s, (K.GStore, K.SStore)):
-        return (s.index, s.value)
-    if isinstance(s, K.SLoad):
-        return (s.index,)
-    if isinstance(s, (K.If, K.While, K.UniformWhile)):
-        return (s.cond,)
-    return ()
-
-
 def analyze_trace_safety(kernel: K.Kernel) -> TraceSafety:
     """Static proof that ``kernel`` can be trace-compiled bit-identically.
 
@@ -154,8 +140,8 @@ def analyze_trace_safety(kernel: K.Kernel) -> TraceSafety:
         if not isinstance(s, _SUPPORTED_STMTS):
             return TraceSafety(
                 False, f"unsupported statement {type(s).__name__}")
-        for e in _stmt_exprs(s):
-            bad = _expr_unsupported(e)
+        for f in K.EXPR_FIELDS.get(type(s), ()):
+            bad = _expr_unsupported(getattr(s, f))
             if bad:
                 return TraceSafety(False, f"unsupported {bad}")
     safety = analyze_batch_safety(kernel)

@@ -44,7 +44,7 @@ __all__ = [
     "stmt_text",
     # rewrite utilities / verifier (pass-pipeline support)
     "transform_block", "map_expr", "expr_reads", "stmt_reads",
-    "stmt_writes", "verify_kernel",
+    "stmt_writes", "verify_kernel", "BLOCK_FIELDS", "EXPR_FIELDS",
     "SPECIALS",
 ]
 
@@ -418,93 +418,95 @@ def transform_block(stmts: tuple[Stmt, ...], fn) -> tuple[Stmt, ...]:
     first, then ``fn(stmt)`` is applied to the (possibly rebuilt)
     statement.  ``fn`` returns the statement unchanged, a replacement
     statement, ``None`` to delete it, or a tuple/list of statements to
-    splice in its place.
+    splice in its place.  A block in which nothing changed is returned
+    as the same object, so a no-op rewrite keeps the kernel's identity.
     """
     out: list[Stmt] = []
-    for s in stmts:
-        if isinstance(s, If):
-            s = dataclasses.replace(s, then=transform_block(s.then, fn),
-                                    orelse=transform_block(s.orelse, fn))
-        elif isinstance(s, (While, UniformWhile)):
-            s = dataclasses.replace(s, body=transform_block(s.body, fn))
+    changed = False
+    for orig in stmts:
+        s = orig
+        if type(s) in BLOCK_FIELDS:
+            blocks = {f: transform_block(getattr(s, f), fn)
+                      for f in BLOCK_FIELDS[type(s)]}
+            if any(b is not getattr(s, f) for f, b in blocks.items()):
+                s = dataclasses.replace(s, **blocks)
         r = fn(s)
         if r is None:
-            continue
-        if isinstance(r, (tuple, list)):
+            changed = True
+        elif isinstance(r, (tuple, list)):
             out.extend(r)
+            changed = True
         else:
             out.append(r)
+            changed = changed or r is not orig
+    if not changed and isinstance(stmts, tuple):
+        return stmts
     return tuple(out)
 
 
 def map_expr(e: Expr, fn) -> Expr:
     """Rebuild an expression bottom-up through ``fn`` (applied to every
-    node after its children were mapped)."""
+    node after its children were mapped).  A node whose children all
+    came back unchanged is passed to ``fn`` as the same object."""
     if isinstance(e, Bin):
-        e = Bin(e.op, map_expr(e.a, fn), map_expr(e.b, fn))
-    elif isinstance(e, Un):
-        e = Un(e.op, map_expr(e.a, fn))
+        a, b = map_expr(e.a, fn), map_expr(e.b, fn)
+        if a is not e.a or b is not e.b:
+            e = Bin(e.op, a, b)
+    elif isinstance(e, (Un, Cast)):
+        a = map_expr(e.a, fn)
+        if a is not e.a:
+            e = dataclasses.replace(e, a=a)
     elif isinstance(e, Call):
-        e = Call(e.fn, tuple(map_expr(a, fn) for a in e.args))
-    elif isinstance(e, Cast):
-        e = Cast(e.dtype, map_expr(e.a, fn))
+        args = tuple(map_expr(a, fn) for a in e.args)
+        if any(x is not y for x, y in zip(args, e.args)):
+            e = Call(e.fn, args)
     elif isinstance(e, Select):
-        e = Select(map_expr(e.cond, fn), map_expr(e.a, fn),
+        c, a, b = (map_expr(e.cond, fn), map_expr(e.a, fn),
                    map_expr(e.b, fn))
+        if c is not e.cond or a is not e.a or b is not e.b:
+            e = Select(c, a, b)
     return fn(e)
 
 
 def expr_reads(e: Expr, regs: set[str]) -> None:
     """Collect the register names an expression reads into ``regs``."""
-    if isinstance(e, Reg):
+    t = type(e)  # exact types: the verifier's hot loop
+    if t is Reg:
         regs.add(e.name)
-    elif isinstance(e, Bin):
+    elif t is Bin:
         expr_reads(e.a, regs)
         expr_reads(e.b, regs)
-    elif isinstance(e, Un):
+    elif t is Un or t is Cast:
         expr_reads(e.a, regs)
-    elif isinstance(e, Call):
+    elif t is Call:
         for a in e.args:
             expr_reads(a, regs)
-    elif isinstance(e, Cast):
-        expr_reads(e.a, regs)
-    elif isinstance(e, Select):
+    elif t is Select:
         expr_reads(e.cond, regs)
         expr_reads(e.a, regs)
         expr_reads(e.b, regs)
 
 
-def _stmt_exprs(s: Stmt) -> tuple[Expr, ...]:
-    if isinstance(s, Assign):
-        return (s.value,)
-    if isinstance(s, GLoad):
-        return (s.index,)
-    if isinstance(s, GStore):
-        return (s.index, s.value)
-    if isinstance(s, SLoad):
-        return (s.index,)
-    if isinstance(s, SStore):
-        return (s.index, s.value)
-    if isinstance(s, (If, While, UniformWhile)):
-        return (s.cond,)
-    if isinstance(s, AtomicUpdate):
-        return (s.index, s.value)
-    return ()
+#: the child-block fields of each compound statement type
+BLOCK_FIELDS = {If: ("then", "orelse"), While: ("body",),
+                UniformWhile: ("body",)}
+#: the expression fields of each statement type that has any
+EXPR_FIELDS = {
+    Assign: ("value",), GLoad: ("index",), GStore: ("index", "value"),
+    SLoad: ("index",), SStore: ("index", "value"), If: ("cond",),
+    While: ("cond",), UniformWhile: ("cond",),
+    AtomicUpdate: ("index", "value"),
+}
 
 
-def stmt_reads(s: Stmt, *, recurse: bool = False) -> set[str]:
-    """Register names a statement reads (its own expressions; with
-    ``recurse=True``, also everything inside its child blocks)."""
+def stmt_reads(s: Stmt) -> set[str]:
+    """Register names a statement reads in its own expressions (not in
+    its child blocks)."""
     regs: set[str] = set()
-    for e in _stmt_exprs(s):
-        expr_reads(e, regs)
+    for f in EXPR_FIELDS.get(type(s), ()):
+        expr_reads(getattr(s, f), regs)
     if isinstance(s, ShflDown):
         regs.add(s.src)
-    if recurse and isinstance(s, (If, While, UniformWhile)):
-        blocks = (s.then, s.orelse) if isinstance(s, If) else (s.body,)
-        for block in blocks:
-            for inner, _ in walk_stmts(block):
-                regs |= stmt_reads(inner)
     return regs
 
 
@@ -525,7 +527,8 @@ _KNOWN_STMTS = (Assign, GLoad, GStore, SLoad, SStore, If, While,
 
 def verify_kernel(kernel: Kernel, *, expect_sids: bool = False) -> None:
     """Structural sanity checks over a kernel; raises
-    :class:`~repro.errors.IRVerificationError` on the first violation.
+    :class:`~repro.errors.IRVerificationError` on the first violation
+    (the per-statement checks in pre-order, then the register reads).
 
     Run by the pass manager after every kernel-modifying pass so a broken
     rewrite is pinned to the pass that produced it, not to a downstream
@@ -546,19 +549,19 @@ def verify_kernel(kernel: Kernel, *, expect_sids: bool = False) -> None:
     shared_names = {sa.name for sa in kernel.shared}
     buffers = set(kernel.buffers)
     defined: set[str] = set()
-    for s, _ in walk_stmts(kernel.body):
-        if not isinstance(s, _KNOWN_STMTS):
-            raise IRVerificationError(
-                f"{kernel.name}: unknown statement node {s!r}")
-        w = stmt_writes(s)
-        if w is not None:
-            defined.add(w)
+    read: set[str] = set()
+    sids: list[int] = []
 
     def bad(msg: str) -> IRVerificationError:
         return IRVerificationError(f"{kernel.name}: {msg}")
 
-    def check_block(stmts, in_masked_loop: bool):
+    # one pre-order walk runs the structural checks and collects every
+    # definition and read; the flow-insensitive read check needs them all
+    def walk(stmts, in_masked_loop: bool):
         for s in stmts:
+            if not isinstance(s, _KNOWN_STMTS):
+                raise bad(f"unknown statement node {s!r}")
+            sids.append(s.sid)
             if isinstance(s, Sync) and in_masked_loop:
                 raise bad("__syncthreads() inside a per-thread While loop "
                           f"(sid={s.sid})")
@@ -569,26 +572,31 @@ def verify_kernel(kernel: Kernel, *, expect_sids: bool = False) -> None:
             if isinstance(s, (SLoad, SStore)) and s.arr not in shared_names:
                 raise bad(f"undeclared shared array {s.arr!r} in "
                           f"`{stmt_text(s)}`")
-            reads = stmt_reads(s)
-            missing = reads - defined
+            read.update(stmt_reads(s))
+            w = stmt_writes(s)
+            if w is not None:
+                defined.add(w)
+            if isinstance(s, If):
+                walk(s.then, in_masked_loop)
+                walk(s.orelse, in_masked_loop)
+            elif isinstance(s, While):
+                walk(s.body, True)
+            elif isinstance(s, UniformWhile):
+                walk(s.body, in_masked_loop)
+
+    walk(kernel.body, False)
+
+    if not read <= defined:
+        # name the first statement that reads an undefined register
+        for s, _ in walk_stmts(kernel.body):
+            missing = stmt_reads(s) - defined
             if missing:
                 raise bad(f"register(s) {sorted(missing)} read but never "
                           f"written, in `{stmt_text(s)}`")
-            if isinstance(s, If):
-                check_block(s.then, in_masked_loop)
-                check_block(s.orelse, in_masked_loop)
-            elif isinstance(s, While):
-                check_block(s.body, True)
-            elif isinstance(s, UniformWhile):
-                check_block(s.body, in_masked_loop)
 
-    check_block(kernel.body, False)
-
-    if expect_sids:
-        sids = [s.sid for s, _ in walk_stmts(kernel.body)]
-        if sids != list(range(len(sids))):
-            raise bad(f"statement ids are not the dense pre-order "
-                      f"0..{len(sids) - 1}: {sids[:8]}...")
+    if expect_sids and sids != list(range(len(sids))):
+        raise bad(f"statement ids are not the dense pre-order "
+                  f"0..{len(sids) - 1}: {sids[:8]}...")
 
 
 # --------------------------------------------------------------------------

@@ -40,6 +40,7 @@ compares every case under ``minimal`` vs ``optimized`` on both executors):
 from __future__ import annotations
 
 import dataclasses
+import operator
 
 from repro.dtypes import DType
 from repro.gpu import kernelir as K
@@ -51,7 +52,8 @@ __all__ = ["eliminate_barriers", "fold_kernel", "fuse_finish_kernels"]
 
 
 def _map_kernels(lowered, fn):
-    """Rebuild a LoweredProgram with ``fn`` applied to every kernel."""
+    """Rebuild a LoweredProgram with ``fn`` applied to every kernel
+    (``lowered`` itself when ``fn`` returns every kernel unchanged)."""
     specs = [dataclasses.replace(
         g,
         finish_kernel=fn(g.finish_kernel) if g.finish_kernel is not None
@@ -59,11 +61,14 @@ def _map_kernels(lowered, fn):
         init_kernel=fn(g.init_kernel) if g.init_kernel is not None
         else None)
         for g in lowered.gang_reductions]
-    return dataclasses.replace(
+    new = dataclasses.replace(
         lowered,
         main_kernel=fn(lowered.main_kernel),
         stage_kernels=tuple(fn(k) for k in lowered.stage_kernels),
         gang_reductions=specs)
+    if all(map(operator.is_, new.kernels, lowered.kernels)):
+        return lowered
+    return new
 
 
 # --------------------------------------------------------------------------
@@ -161,9 +166,9 @@ def run_eliminate_barriers(state: CompileState):
         # region-stage kernels launch with the main geometry; only the
         # reduction init/finish helpers use the finish block size
         ntid = fbs if kernel.name.startswith("acc_reduction_") else ntid_main
-        kernel, n = eliminate_barriers(kernel, ntid)
+        new, n = eliminate_barriers(kernel, ntid)
         total += n
-        return kernel
+        return new if n else kernel
 
     state.lowered = _map_kernels(lowered, rewrite)
     return f"removed {total} barrier(s)"
@@ -238,61 +243,98 @@ def _fold_expr(e: K.Expr) -> K.Expr:
 
 
 def _rebuild_exprs(s: K.Stmt, fn) -> K.Stmt:
-    if isinstance(s, K.Assign):
-        return dataclasses.replace(s, value=K.map_expr(s.value, fn))
-    if isinstance(s, K.GLoad):
-        return dataclasses.replace(s, index=K.map_expr(s.index, fn))
-    if isinstance(s, K.GStore):
-        return dataclasses.replace(s, index=K.map_expr(s.index, fn),
-                                   value=K.map_expr(s.value, fn))
-    if isinstance(s, K.SLoad):
-        return dataclasses.replace(s, index=K.map_expr(s.index, fn))
-    if isinstance(s, K.SStore):
-        return dataclasses.replace(s, index=K.map_expr(s.index, fn),
-                                   value=K.map_expr(s.value, fn))
-    if isinstance(s, (K.If, K.While, K.UniformWhile)):
-        return dataclasses.replace(s, cond=K.map_expr(s.cond, fn))
-    if isinstance(s, K.AtomicUpdate):
-        return dataclasses.replace(s, index=K.map_expr(s.index, fn),
-                                   value=K.map_expr(s.value, fn))
-    return s
+    """``s`` with ``fn`` mapped over its expressions (``s`` itself when
+    every expression comes back unchanged)."""
+    names = K.EXPR_FIELDS.get(type(s), ())
+    new = {f: K.map_expr(getattr(s, f), fn) for f in names}
+    if all(new[f] is getattr(s, f) for f in names):
+        return s
+    return dataclasses.replace(s, **new)
 
 
-def _drop_dead_overwrites(stmts: tuple[K.Stmt, ...], counter) -> tuple:
+def _drop_dead_overwrites(stmts: tuple[K.Stmt, ...],
+                          counter) -> tuple[tuple, set[str]]:
     """Remove ``Assign(x, e)`` overwritten in the same block before any
     read of ``x`` (catches the firstprivate materialization of reduction
     scalars that the reduction entry immediately resets to the identity).
+
+    Returns the new block and the registers the input block reads,
+    nested blocks included.  One backward pass per block tracks whether
+    each register's next event is a read (in any statement's subtree) or
+    an unconditional overwrite; nested writes are guarded, so no event.
     """
-    out: list[K.Stmt] = []
-    for i, s in enumerate(stmts):
-        if isinstance(s, K.If):
-            s = dataclasses.replace(
-                s, then=_drop_dead_overwrites(s.then, counter),
-                orelse=_drop_dead_overwrites(s.orelse, counter))
-        elif isinstance(s, (K.While, K.UniformWhile)):
-            s = dataclasses.replace(
-                s, body=_drop_dead_overwrites(s.body, counter))
+    blocks, reads = [], []
+    for s in stmts:
+        r = K.stmt_reads(s)
+        new = {}
+        for f in K.BLOCK_FIELDS.get(type(s), ()):
+            block, rb = _drop_dead_overwrites(getattr(s, f), counter)
+            r |= rb
+            if block is not getattr(s, f):
+                new[f] = block
+        if new:
+            s = dataclasses.replace(s, **new)
+        blocks.append(s)
+        reads.append(r)
+
+    overwrite: dict[str, bool] = {}
+    out = []
+    for s, r in zip(reversed(blocks), reversed(reads)):
+        if isinstance(s, K.Assign) and overwrite.get(s.dst):
+            counter[0] += 1
+        else:
+            out.append(s)
+        w = K.stmt_writes(s)
+        if w is not None:
+            overwrite[w] = True
+        overwrite.update(dict.fromkeys(r, False))
+    out.reverse()
+    block_reads = set().union(*reads)
+    if len(out) == len(stmts) and all(map(operator.is_, out, stmts)):
+        return stmts, block_reads
+    return tuple(out), block_reads
+
+
+def _drop_dead_temps(body: tuple[K.Stmt, ...], counter) -> tuple:
+    """Remove every pure ``Assign`` whose register no surviving statement
+    reads, with a use-count worklist: dropping a dead register's
+    assignments releases their reads.  Loads are never removed — their
+    memory-counter side effects are modeled cost.
+    """
+    uses: dict[str, int] = {}
+    defs: dict[str, list[set[str]]] = {}
+    for s, _ in K.walk_stmts(body):
+        r = K.stmt_reads(s)
+        for reg in r:
+            uses[reg] = uses.get(reg, 0) + 1
         if isinstance(s, K.Assign):
-            dead = False
-            for t in stmts[i + 1:]:
-                if s.dst in K.stmt_reads(t, recurse=True):
-                    break
-                if K.stmt_writes(t) == s.dst:
-                    dead = True  # unconditional overwrite, no read between
-                    break
-                if isinstance(t, (K.If, K.While, K.UniformWhile)):
-                    continue  # no read inside; a nested write is guarded
-            if dead:
-                counter[0] += 1
-                continue
-        out.append(s)
-    return tuple(out)
+            defs.setdefault(s.dst, []).append(r)
+
+    work = [reg for reg in defs if not uses.get(reg)]
+    dead: set[str] = set()
+    while work:
+        reg = work.pop()
+        if reg in dead:
+            continue
+        dead.add(reg)
+        for r in defs[reg]:
+            for x in r:
+                uses[x] -= 1
+                if not uses[x] and x in defs:
+                    work.append(x)
+    if not dead:
+        return body
+    counter[0] += sum(len(defs[reg]) for reg in dead)
+    return K.transform_block(
+        body, lambda s: None if isinstance(s, K.Assign) and s.dst in dead
+        else s)
 
 
 def fold_kernel(kernel: K.Kernel) -> tuple[K.Kernel, int]:
     """Constant-fold + dead-temp + dead-overwrite one kernel.
 
-    Returns the rewritten kernel and a count of changes applied.
+    Returns the rewritten kernel (``kernel`` itself when nothing
+    changed) and a count of changes applied.
     """
     changes = [0]
 
@@ -304,30 +346,11 @@ def fold_kernel(kernel: K.Kernel) -> tuple[K.Kernel, int]:
 
     body = K.transform_block(kernel.body,
                              lambda s: _rebuild_exprs(s, fold))
-    body = _drop_dead_overwrites(body, changes)
-
-    # dead-temp elimination to a fixpoint: removing one dead Assign can
-    # kill the registers its value read
-    while True:
-        read: set[str] = set()
-        for s, _ in K.walk_stmts(body):
-            read |= K.stmt_reads(s)
-
-        removed = [0]
-
-        def dce(s):
-            # only pure Assigns: loads carry modeled memory-counter cost
-            if isinstance(s, K.Assign) and s.dst not in read:
-                removed[0] += 1
-                return None
-            return s
-
-        body = K.transform_block(body, dce)
-        if not removed[0]:
-            break
-        changes[0] += removed[0]
-
-    return dataclasses.replace(kernel, body=body), changes[0]
+    body, _ = _drop_dead_overwrites(body, changes)
+    body = _drop_dead_temps(body, changes)
+    if changes[0]:
+        kernel = dataclasses.replace(kernel, body=body)
+    return kernel, changes[0]
 
 
 @register_pass("fold-constants", "kernelopt",

@@ -8,6 +8,8 @@ before/after IR listings for ``--dump-ir`` / ``repro explain``), emits one
 ``pass:*`` timeline span per pass, and runs the kernel-IR verifier after
 every pass that produces or rewrites kernels — so a broken rewrite is
 pinned to the pass that made it, not to a downstream simulator crash.
+A kernel object a pass hands back unchanged (the same object) was
+already verified and is not checked again.
 
 Pipeline resolution (strongest wins):
 
@@ -105,9 +107,6 @@ class CompileState:
     autotune: dict = field(default_factory=dict)
     # produced by the lowering + kernel-opt passes
     lowered: object | None = None
-    #: produced by the trace-codegen pass: kernel name -> generated
-    #: NumPy source for the trace executor (eligible kernels only)
-    trace_src: dict = field(default_factory=dict)
     # bookkeeping
     pipeline: str = ""
     records: list[PassRecord] = field(default_factory=list)
@@ -147,12 +146,11 @@ OPTIONAL_PASSES = ("autotune", "cascade-fusion", "fuse-finish",
 
 PIPELINES: dict[str, PipelineSpec] = {
     "minimal": PipelineSpec(
-        "minimal", _FRONTEND + ("lower", "stamp-sids", "trace-codegen")),
+        "minimal", _FRONTEND + ("lower", "stamp-sids")),
     "optimized": PipelineSpec(
         "optimized",
         _FRONTEND + ("autotune", "lower", "cascade-fusion", "fuse-finish",
-                     "fold-constants", "eliminate-barriers", "stamp-sids",
-                     "trace-codegen")),
+                     "fold-constants", "eliminate-barriers", "stamp-sids")),
 }
 
 
@@ -218,6 +216,9 @@ class PassManager:
 
     def _run(self, state: CompileState) -> CompileState:
         state.pipeline = self.spec.name
+        # (id, expect_sids) -> kernel verified that way in this compile;
+        # holding the object keeps a new kernel from reusing its id
+        verified: dict[tuple[int, bool], object] = {}
         for name in self.spec.passes:
             p = PASS_REGISTRY[name]
             before = _listing(state) if self.capture_ir else None
@@ -226,8 +227,11 @@ class PassManager:
             wall_ms = (time.perf_counter() - t0) * 1000.0
             if p.kind in ("lower", "kernelopt", "finalize") \
                     and state.lowered is not None:
+                expect = p.kind == "finalize"
                 for kernel in state.lowered.kernels:
-                    verify_kernel(kernel, expect_sids=(p.kind == "finalize"))
+                    if verified.get((id(kernel), expect)) is not kernel:
+                        verify_kernel(kernel, expect_sids=expect)
+                        verified[id(kernel), expect] = kernel
             state.records.append(PassRecord(
                 name=name, kind=p.kind, wall_ms=wall_ms, note=note or "",
                 before=before,

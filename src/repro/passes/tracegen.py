@@ -1,22 +1,10 @@
-"""The trace-codegen pass: ahead-of-time NumPy source for eligible kernels.
+"""The ``trace-codegen`` pass: a trace-eligibility report, nothing more.
 
-The trace executor (:mod:`repro.gpu.executor_trace`) compiles a kernel
-into a closed-over Python function of whole-array NumPy operations.  That
-codegen is pure — it depends only on the (sid-stamped) kernel IR and the
-device — so it belongs in the pass pipeline, not at first launch: running
-it here means the generated source is carried on the
-:class:`~repro.acc.compiler.Program`, survives the serve compile cache as
-an artifact, and shows up in ``--dump-ir`` pass records like any other
-compilation product.
-
-The pass runs after ``stamp-sids`` (the emitted source references
-statement sids for attribution batching) and only touches kernels whose
-static :func:`~repro.gpu.executor_trace.analyze_trace_safety` proof says
-they are trace-eligible; ineligible kernels are left alone and demote to
-the batched executor at launch.  A codegen failure on an eligible kernel
-is downgraded to a skip (the launch path falls back to lazy emission or
-batched execution) so one bad kernel cannot poison an otherwise valid
-compile.
+Trace source is not a compile product: a kernel's
+:class:`~repro.gpu.executor.CompiledKernel` emits it on its first trace
+launch.  This pass runs in no pipeline and writes no state; it stays
+registered only so the repository benchmark can look it up by name, and
+a later change to the benchmark deletes it.
 """
 
 from __future__ import annotations
@@ -27,28 +15,11 @@ __all__ = ["trace_codegen"]
 
 
 @register_pass("trace-codegen", "finalize",
-               "generate trace-executor NumPy source for eligible kernels")
+               "report which kernels the trace executor can run")
 def trace_codegen(state) -> str:
-    from repro.gpu.executor_trace import (analyze_trace_safety,
-                                          emit_trace_source)
+    from repro.gpu.executor_trace import analyze_trace_safety
 
-    if state.lowered is None:  # pragma: no cover - pipeline order bug
-        return "no lowered kernels"
-    emitted, skipped = [], []
-    for kernel in state.lowered.kernels:
-        verdict = analyze_trace_safety(kernel)
-        if not verdict.eligible:
-            skipped.append(f"{kernel.name} ({verdict.reason})")
-            continue
-        try:
-            state.trace_src[kernel.name] = emit_trace_source(
-                kernel, state.device)
-            emitted.append(kernel.name)
-        except Exception as exc:  # pragma: no cover - defensive
-            skipped.append(f"{kernel.name} (codegen failed: {exc})")
-    parts = []
-    if emitted:
-        parts.append(f"emitted {len(emitted)}: {', '.join(emitted)}")
-    if skipped:
-        parts.append(f"skipped {len(skipped)}: {'; '.join(skipped)}")
-    return "; ".join(parts) or "nothing to do"
+    verdicts = ((k.name, analyze_trace_safety(k))
+                for k in state.lowered.kernels)
+    return "; ".join(f"{name}: " + ("eligible" if v.eligible else v.reason)
+                     for name, v in verdicts) or "nothing to do"

@@ -4,13 +4,11 @@ The launch LRU (:mod:`repro.gpu.launch`) memoizes compiled *closures*
 per process; this cache persists the expensive front half of compilation
 — parse, IR build, analysis, the whole pass pipeline — across processes.
 The stored artifact is the pickled :class:`~repro.codegen.lowering.
-LoweredProgram` (plus the pipeline name, autotune decisions, and the
-trace-codegen pass's generated NumPy source per eligible kernel), from
+LoweredProgram` (plus the pipeline name and autotune decisions), from
 which a :class:`~repro.acc.compiler.Program` is reconstructed in well
-under a millisecond; only the cheap per-kernel closure compilation is
-redone, and that is served by the launch LRU anyway.  Carrying the
-trace source means a cache-served Program never re-runs trace codegen
-— the trace executor ``exec``\\ s the cached source directly.
+under a millisecond.  No generated code is stored: each kernel builds
+its executor code on its first launch, exactly as in a freshly compiled
+Program, so a cache-served Program cannot run stale code.
 
 Key = SHA-256 over every compilation input: source text, compiler
 profile, the *resolved* pass-pipeline fingerprint, explicit option
@@ -69,19 +67,11 @@ __all__ = ["CompileCache", "device_fingerprint", "PAYLOAD_VERSION"]
 _MAGIC = b"REPROCC1"
 #: bump when the payload schema changes — old entries then read as
 #: version mismatches (a miss), never as wrong programs.
-#: v2: added ``trace_src`` (the trace-codegen pass artifact), so a
-#: cache-served Program skips trace codegen entirely.
-#: v3: reduction specs carry kind/index/stage/cascade_fused fields and
-#: LoweredProgram carries stage kernels + per-stage reads; autotune
-#: records gained ``cascade_fusion`` decisions.  v2 entries (pre
-#: multi-stage schema) must read as misses, not as programs that lost
-#: their fusion decisions.
-#: v4: the generated trace source calls a new helper set (``_arow``,
-#: ``_snap``, ``_attr_mem``, ``_wk``, ``_lanes_of``; ``_attr_global`` is
-#: gone), so a v3 ``trace_src`` raises ``NameError`` on today's executor.
-#: tests/serve/test_cache.py pins a hash of the trace codegen next to this
-#: number: a codegen change that moves the hash must bump it.
-PAYLOAD_VERSION = 4
+#: v3: multi-stage reduction specs, stage kernels and cascade-fusion
+#: autotune records.  v2–v4 also carried generated trace source.
+#: v5: no generated code (the first trace launch emits it), so a trace
+#: codegen change no longer needs a bump.
+PAYLOAD_VERSION = 5
 
 #: unique-suffix counter for quarantine renames within one process
 _QSEQ = itertools.count()
@@ -273,8 +263,7 @@ class CompileCache:
         from repro.acc.profiles import get_profile
 
         return Program(doc["lowered"], get_profile(doc["profile"]), device,
-                       pipeline=doc["pipeline"], autotune=doc["autotune"],
-                       trace_src=doc.get("trace_src"))
+                       pipeline=doc["pipeline"], autotune=doc["autotune"])
 
     # -- write -----------------------------------------------------------
 
@@ -282,8 +271,7 @@ class CompileCache:
         """Persist one compiled program atomically; returns the entry path."""
         doc = {"v": PAYLOAD_VERSION, "lowered": prog.lowered,
                "profile": prog.profile.name, "pipeline": prog.pipeline,
-               "autotune": prog.autotune,
-               "trace_src": dict(getattr(prog, "trace_src", None) or {})}
+               "autotune": prog.autotune}
         payload = pickle.dumps(doc, protocol=pickle.HIGHEST_PROTOCOL)
         header = b" ".join((
             _MAGIC, hashlib.sha256(payload).hexdigest().encode(),

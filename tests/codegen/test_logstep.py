@@ -208,3 +208,51 @@ class TestPropertyBased:
                                elide=(n % 32 == 0 or n <= 32))
         expect = get_operator(op).np_reduce(vals, DType.INT)
         assert got == expect
+
+
+class TestDeterministicTemporaries:
+    """The lowering numbers log-step temporaries from its own counter,
+    so a program's kernels do not depend on what the process compiled
+    before it."""
+
+    def test_compile_a_b_a_is_identical(self):
+        from repro import acc
+        from repro.gpu.executor_trace import emit_trace_source
+        from repro.testsuite.cases import make_case
+
+        def listings(case):
+            prog = acc.compile(make_case(*case).source, num_gangs=4,
+                               num_workers=4, vector_length=32,
+                               pipeline="optimized")
+            return ([K.dump(k) for k in prog.lowered.kernels],
+                    [emit_trace_source(k, prog.device)
+                     for k in prog.lowered.kernels])
+
+        a = ("worker vector", "*", "double")
+        first = listings(a)
+        assert any("_ls" in text for text in first[0])
+        listings(("gang worker vector", "+", "float"))
+        assert listings(a) == first
+
+    def test_names_are_unique_within_a_compile(self):
+        # three reductions, each finished by its own log-step kernel:
+        # no two kernels share a temporary
+        from repro import acc
+        from repro.dtypes import ctype_to_dtype
+        from repro.reduce import build_source
+        from repro.reduce.spec import ReductionSpec
+
+        ops = ("+", "min", "^")
+        src = build_source(tuple(ReductionSpec(op=op) for op in ops),
+                           (ctype_to_dtype("int"),) * 3)
+        prog = acc.compile(src, num_gangs=4, num_workers=4,
+                           vector_length=32, pipeline="minimal",
+                           vector_strategy="logstep")
+        owner = {}
+        for kernel in prog.lowered.kernels:
+            for s, _ in K.walk_stmts(kernel.body):
+                name = getattr(s, "dst", "")
+                if name.startswith("_ls"):
+                    assert owner.setdefault(name, kernel.name) \
+                        == kernel.name
+        assert len({n[:n.rindex("_")] for n in owner}) >= len(ops)

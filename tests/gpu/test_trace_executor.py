@@ -107,10 +107,8 @@ class TestEligibility:
     def test_reduction_kernels_are_eligible(self):
         prog = acc.compile(_SUM_SRC, num_gangs=4, num_workers=2,
                            vector_length=32)
-        assert prog.trace_src  # the trace-codegen pass emitted something
-        for name, ck in prog._compiled.items():
-            if name in prog.trace_src:
-                assert ck.trace_safety.eligible
+        main = prog._compiled[prog.lowered.main_kernel.name]
+        assert main.trace_safety.eligible
 
     def test_atomic_kernel_is_ineligible_and_demotes(self):
         k = stamp_sids(Kernel("atom", (
@@ -134,23 +132,37 @@ class TestEligibility:
     def test_codegen_is_deterministic(self):
         prog = acc.compile(_SUM_SRC, num_gangs=4, num_workers=2,
                            vector_length=32)
-        for name, src in prog.trace_src.items():
-            kernel = next(k for k in prog.lowered.kernels
-                          if k.name == name)
-            assert emit_trace_source(kernel, prog.device) == src
-            fn, slot_sids = compile_trace_source(src)
+        a = ((np.arange(300) % 7) / 4.0).astype(np.float32)
+        prog.run(executor_mode="trace", a=a)
+        emitted = [ck for ck in prog._compiled.values()
+                   if ck.trace_source is not None]
+        assert emitted
+        for ck in emitted:
+            assert emit_trace_source(ck.kernel, prog.device) \
+                == ck.trace_source
+            fn, slot_sids = compile_trace_source(ck.trace_source)
             assert callable(fn)
 
-    def test_program_attaches_pass_artifact(self):
-        # the trace-codegen pass output rides on the Program and is
-        # adopted by the compiled kernels — the first trace launch skips
-        # codegen entirely
+    def test_first_trace_launch_emits_lazily(self):
+        # the compile emits no trace source (no pipeline runs the
+        # trace-codegen pass); the first trace launch emits it, and the
+        # emitted source runs bit-identically to the reference executor
         prog = acc.compile(_SUM_SRC, num_gangs=4, num_workers=2,
                            vector_length=32)
-        name = prog.lowered.main_kernel.name
-        assert prog._compiled[name].trace_source == prog.trace_src[name]
-        rec = [r for r in prog.pass_records if r.name == "trace-codegen"]
-        assert rec and "emitted" in rec[0].note
+        assert "trace-codegen" not in [r.name for r in prog.pass_records]
+        assert all(ck.trace_source is None for ck in prog._compiled.values())
+        ck = prog._compiled[prog.lowered.main_kernel.name]
+        a = ((np.arange(300) % 7) / 4.0).astype(np.float32)
+        ref = prog.run(executor_mode="reference", attribution=True, a=a)
+        assert ck.trace_source is None
+        res = prog.run(executor_mode="trace", attribution=True, a=a)
+        assert ck.trace_source == emit_trace_source(ck.kernel, prog.device)
+        assert (res.scalars["total"].tobytes()
+                == ref.scalars["total"].tobytes())
+        name = ck.kernel.name
+        assert res.kernel_stats[name].executor == "trace"
+        assert (_stats_dict(res.kernel_stats[name])
+                == _stats_dict(ref.kernel_stats[name]))
 
 
 class TestCheckedFallback:

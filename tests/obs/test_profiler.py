@@ -177,7 +177,7 @@ class TestListener:
         from repro.obs import timeline
 
         prof = Profiler() if profile else None
-        bus = (timeline.enabled(sample={"gpu": 10}, capacity=16)
+        bus = (timeline.enabled(sample={"gpu": 10}, capacity=12)
                if outer else nullcontext())
         with bus as tl, (prof if prof is not None else nullcontext()):
             prog = acc.compile(VECSUM, **GEOM, pipeline="minimal")

@@ -365,44 +365,65 @@ class TestPruneAndClear:
         assert status == "miss"
 
 
-class TestPayloadVersionPin:
-    """Cached payloads carry the generated trace source, so a trace
-    codegen change must bump ``PAYLOAD_VERSION``.  The pin holds the
-    version next to a hash of the codegen output over a fixed kernel
-    set: when the hash moves, bump the version in serve/cache.py and
-    update both values here."""
+class TestPayloadV5:
+    """The payload stores the lowered IR and no generated code: a trace
+    launch of a cache-served Program emits its source lazily, exactly as
+    a freshly compiled Program does."""
 
-    PIN = (4, "a1093a608d450a249521f9dbb7c40a98"
-              "b5be5a4be9d41b3a53b72bd76f5e2919")
-    # a fresh interpreter: the log-step lowering numbers its temporaries
-    # from a process-wide counter, so the source depends on how many
-    # programs this process compiled before
-    SCRIPT = """
-import hashlib
-from repro import acc
-from repro.testsuite.cases import make_case
-h, emitted = hashlib.sha256(), 0
-for case in (("gang worker vector", "+", "float"), ("gang", "+", "float"),
-             ("worker vector", "*", "double"), ("vector", "+", "int"),
-             ("gang worker", "+", "double")):
-    prog = acc.compile(make_case(*case).source, num_gangs=8, num_workers=2,
-                       vector_length=32, pipeline="optimized")
-    for name in sorted(prog.trace_src):
-        h.update(name.encode())
-        h.update(prog.trace_src[name].encode())
-        emitted += 1
-print(emitted, h.hexdigest())
-"""
+    def _doc(self, cache):
+        cache.compile(SRC, **GEOM)
+        (path,) = cache.objects.glob("*/*.rcc")
+        blob = path.read_bytes()
+        return blob, pickle.loads(blob[blob.index(b"\n") + 1:])
 
-    def test_trace_codegen_hash_matches_payload_version(self):
-        import os
+    def test_payload_carries_no_generated_source(self, cache):
+        blob, doc = self._doc(cache)
+        assert PAYLOAD_VERSION == 5 and doc["v"] == 5
+        assert sorted(doc) == ["autotune", "lowered", "pipeline",
+                               "profile", "v"]
+        assert b"_run_chunk" not in blob
 
-        out = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT], check=True,
-            capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-        emitted, digest = out.stdout.split()
-        assert emitted == "5"
-        assert (PAYLOAD_VERSION, digest) == self.PIN, (
-            "trace codegen output changed: bump PAYLOAD_VERSION in "
-            "repro/serve/cache.py, then update PIN")
+    def test_v4_entry_is_a_miss(self, cache):
+        import hashlib
+
+        blob, doc = self._doc(cache)
+        doc = {**doc, "v": 4, "trace_src": {"acc_region_main": "x = ("}}
+        payload = pickle.dumps(doc)
+        (path,) = cache.objects.glob("*/*.rcc")
+        path.write_bytes(b" ".join((
+            b"REPROCC1", hashlib.sha256(payload).hexdigest().encode(),
+            str(len(payload)).encode())) + b"\n" + payload)
+        cache.drop_memory()
+        prog, status = cache.compile(SRC, **GEOM)
+        assert status == "miss"
+        assert cache.stats()["corrupt"] == 1
+        a = np.arange(64, dtype=np.int32)
+        assert prog.run(a=a, executor_mode="trace").scalars["s"] == a.sum()
+
+    def test_cache_served_trace_launch_matches_fresh_compile(self, cache):
+        from repro.gpu.executor_trace import emit_trace_source
+
+        # a float sum lowers to buffer-style gang partials, which the
+        # trace executor runs (atomic partials demote it to batched)
+        src = SRC.replace("int", "float")
+        fresh = acc.compile(src, **GEOM)
+        cache.compile(src, **GEOM)
+        cache.drop_memory()
+        served, status = cache.compile(src, **GEOM)
+        assert status == "hit" and cache.disk_hits == 1
+        assert all(ck.trace_source is None
+                   for ck in served._compiled.values())
+        a = ((np.arange(200) % 11) / 4.0).astype(np.float32)
+        runs = [p.run(a=a, executor_mode="trace", attribution=True)
+                for p in (fresh, served)]
+        for name, ck in served._compiled.items():
+            if ck.trace_source is not None:
+                assert ck.trace_source \
+                    == fresh._compiled[name].trace_source \
+                    == emit_trace_source(ck.kernel, served.device)
+        assert any(st.executor == "trace"
+                   for st in runs[1].kernel_stats.values())
+        assert (runs[0].scalars["s"].tobytes()
+                == runs[1].scalars["s"].tobytes())
+        assert runs[0].kernel_stats == runs[1].kernel_stats
+        assert runs[0].modeled_ms == runs[1].modeled_ms
