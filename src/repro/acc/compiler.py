@@ -236,8 +236,11 @@ class Program:
         ``attribution`` off — executes values only and reuses the first
         launch's counters (``stats.counters == "memo"``); ``reference``
         always counts.  ``None`` (unless ``REPRO_EXECUTOR`` pins a mode)
-        is the tiered default: counted launches run ``batched``, memo
-        hits of trace-eligible kernels run ``trace``.
+        is the tiered default: a kernel's first launch runs ``batched``,
+        its later launches run ``trace`` — counted on a memo miss,
+        values only on a hit — wherever an explicit ``"trace"`` request
+        would (not with ``trace=True`` or ``faults``, not for atomic or
+        otherwise trace-ineligible kernels).
 
         ``attribution=True`` fills a per-statement
         :class:`~repro.gpu.events.AttributionTable` on every launch's

@@ -20,7 +20,9 @@ The ``counter_memo`` section is an identity check, not a timing: on
 each ``table2_quick`` cell, under ``batched``, ``trace`` and the default
 mode, a repeated launch must hit the counter memo and return exactly the
 counters, modeled ms and results of a counted launch; default-mode hits
-of trace-eligible cells must run ``trace``.
+of trace-eligible cells must run ``trace``.  A default-mode re-launch at
+a new problem size must count, run ``trace`` on trace-eligible cells and
+equal a counted launch of a freshly compiled program.
 
 Usage::
 
@@ -208,6 +210,15 @@ def _trace_workload(reps: int) -> dict:
     }
 
 
+def _same_run(got, want) -> bool:
+    """Same KernelStats, modeled kernel ms and scalar result bytes."""
+    return (got.kernel_stats == want.kernel_stats
+            and got.kernel_ms == want.kernel_ms
+            and all(np.asarray(got.scalars[n]).tobytes()
+                    == np.asarray(v).tobytes()
+                    for n, v in want.scalars.items()))
+
+
 def _counter_memo_guard() -> dict:
     """Counter-memo identity on the ``table2_quick`` cells (not timed).
 
@@ -218,6 +229,10 @@ def _counter_memo_guard() -> dict:
     and result bytes as a counted launch of a freshly compiled program.
     A default-mode hit of a trace-eligible cell must also run ``trace``
     (the tiered default) unless ``REPRO_EXECUTOR`` pins the mode.
+
+    Per cell, a default-mode re-launch of the warm program at a second
+    problem size (a memo miss) must count, run ``trace`` under the same
+    condition, and equal a fresh program's counted launch (``relaunch``).
     """
     from repro import acc
     from repro.gpu.executor import _env_mode
@@ -225,10 +240,16 @@ def _counter_memo_guard() -> dict:
 
     cases = generate_cases(positions=POSITIONS, ops=("+",),
                            ctypes=("float",), size=4096)
+    # the same sources at a second problem size
+    resized = generate_cases(positions=POSITIONS, ops=("+",),
+                             ctypes=("float",), size=2048)
     geom = dict(num_gangs=192, num_workers=8, vector_length=128)
     rows = []
-    for case in cases:
+    relaunch = []
+    for case, other in zip(cases, resized):
         warm = acc.compile(case.source, **geom)
+        expect_trace = _env_mode() is None and all(
+            ck.trace_safety.eligible for ck in warm._compiled.values())
         fresh = case.make_inputs(np.random.default_rng(43))
         for mode in ("batched", "trace", None):
             warm.run(executor_mode=mode,
@@ -242,22 +263,28 @@ def _counter_memo_guard() -> dict:
                 "config": f"{case.label} {mode or 'default'}",
                 "memo_hit": all(st.counters == "memo"
                                 for st in hit.kernel_stats.values()),
-                "identical": (
-                    hit.kernel_stats == counted.kernel_stats
-                    and hit.kernel_ms == counted.kernel_ms
-                    and all(np.asarray(hit.scalars[n]).tobytes()
-                            == np.asarray(v).tobytes()
-                            for n, v in counted.scalars.items())),
+                "identical": _same_run(hit, counted),
             }
             if mode is None:
                 row["executor"] = sorted({st.executor for st in
                                           hit.kernel_stats.values()})
-                row["expect_trace"] = _env_mode() is None and all(
-                    ck.trace_safety.eligible
-                    for ck in warm._compiled.values())
+                row["expect_trace"] = expect_trace
             rows.append(row)
+        inputs = other.make_inputs(np.random.default_rng(44))
+        again = warm.run(**inputs)
+        counted = acc.compile(case.source, **geom).run(**inputs)
+        relaunch.append({
+            "config": f"{case.label} re-launch",
+            "counted": all(st.counters == "counted"
+                           for st in again.kernel_stats.values()),
+            "executor": sorted({st.executor
+                                for st in again.kernel_stats.values()}),
+            "expect_trace": expect_trace,
+            "identical": _same_run(again, counted),
+        })
     return {
         "cells": rows,
+        "relaunch": relaunch,
         "all_hit": all(r["memo_hit"] for r in rows),
         "all_identical": all(r["identical"] for r in rows),
     }
@@ -586,6 +613,19 @@ def check_against_baseline(current: dict, baseline: dict,
                 failures.append(
                     f"counter_memo: {row['config']}: a default-mode memo "
                     f"hit ran {'/'.join(row['executor'])}, not trace")
+        for row in cm.get("relaunch", ()):
+            if not row["counted"]:
+                failures.append(
+                    f"counter_memo: {row['config']}: a re-launch at a new "
+                    "problem size did not count")
+            if not row["identical"]:
+                failures.append(
+                    f"counter_memo: {row['config']}: stats, modeled ms or "
+                    "results differ from a fresh program's counted launch")
+            if row["expect_trace"] and row["executor"] != ["trace"]:
+                failures.append(
+                    f"counter_memo: {row['config']}: a default-mode "
+                    f"re-launch ran {'/'.join(row['executor'])}, not trace")
     pp = current.get("pass_pipeline")
     if pp is not None:
         for row in pp["configs"]:
@@ -684,8 +724,12 @@ def main(argv=None) -> int:
           f"(gate: {te['min_rows_ge_10x']})", file=sys.stderr)
     cm = doc["counter_memo"]
     print(f"  counter memo: {sum(r['memo_hit'] for r in cm['cells'])}/"
-          f"{len(cm['cells'])} hits, identical={cm['all_identical']}",
-          file=sys.stderr)
+          f"{len(cm['cells'])} hits, identical={cm['all_identical']}; "
+          f"re-launches counted "
+          f"{sum(r['counted'] for r in cm['relaunch'])}/"
+          f"{len(cm['relaunch'])}, identical "
+          f"{sum(r['identical'] for r in cm['relaunch'])}/"
+          f"{len(cm['relaunch'])}", file=sys.stderr)
     pp = doc["pass_pipeline"]
     for row in pp["configs"]:
         print(f"  passes {row['config']:<42} "

@@ -34,8 +34,9 @@ buffer layout) matches an earlier counted launch of either mode runs
 values only and returns a copy of that launch's
 :class:`~repro.gpu.events.KernelStats`.  The reference executor always
 counts: it is the oracle the memo is checked against.  The unpinned
-default is tiered on the memo: a counted launch runs ``batched``, a
-memo hit of a trace-eligible kernel runs ``trace``.
+default is tiered on launch history: a kernel's first launch runs
+``batched``, every later launch of a trace-eligible kernel runs
+``trace`` (counted on a memo miss, values only on a hit).
 """
 
 from __future__ import annotations
@@ -666,8 +667,9 @@ def _default_mode() -> str:
     ``REPRO_EXECUTOR`` (``trace`` / ``batched`` / ``reference``) pins it
     — the CI matrix uses it to run the whole tier-1 suite per executor.
     Unpinned, the default is tiered: it resolves to ``"batched"``, and
-    :meth:`CompiledKernel.run` moves a launch served from the counter
-    memo to ``"trace"`` when the kernel is trace-eligible.
+    :meth:`CompiledKernel.run` moves every launch after a kernel's first
+    to ``"trace"`` unless :meth:`CompiledKernel.effective_mode` would
+    demote an explicit ``"trace"`` request.
     """
     return _env_mode() or "batched"
 
@@ -743,6 +745,8 @@ class CompiledKernel:
         # serve device pool)
         self._counter_memo: OrderedDict[tuple, KernelStats] = OrderedDict()
         self._memo_lock = threading.Lock()
+        # set by the first launch: unpinned re-launches tier up to trace
+        self._launched = False
 
     @property
     def batch_safety(self):
@@ -861,10 +865,12 @@ class CompiledKernel:
         * ``"reference"`` — one block at a time, the original executor;
         * ``None`` — the ``REPRO_EXECUTOR`` mode if that environment
           variable names one, else the tiered default: ``"batched"``
-          for a launch that counts, ``"trace"`` for a counter-memo hit
-          of a trace-eligible kernel (a kernel launched once never pays
-          the trace compile; warm launches run the generated code with
-          its count-only lines skipped).
+          for a kernel's first launch, ``"trace"`` for every later
+          launch the generated code can honor — counted on a memo miss,
+          values only on a hit (a kernel launched once never pays the
+          trace compile).  The tier-up takes the demotions of an
+          explicit ``"trace"`` request, so a ``trace=True``, fault-armed
+          or trace-ineligible re-launch resolves as a first launch does.
 
         ``block_batch`` bounds the chunk size of the first two (default
         :data:`~repro.gpu.executor_batched.DEFAULT_BLOCK_BATCH`).  All
@@ -923,7 +929,7 @@ class CompiledKernel:
         faults = _armed(faults)
         if grid_dim < 1:
             raise SimulationError(f"grid_dim must be >= 1, got {grid_dim}")
-        # an unpinned launch may tier up to trace on a memo hit
+        # an unpinned re-launch may tier up to trace
         tiered = mode is None and _env_mode() is None
         if mode is None:
             mode = _default_mode()
@@ -934,6 +940,16 @@ class CompiledKernel:
         requested = mode
         mode = self.effective_mode(mode, grid_dim, gmem, faults,
                                    trace_events=trace)
+        fallback = mode != requested
+        if tiered and mode == "batched" and self._launched:
+            # a re-launch runs the generated code, counted or values
+            # only as the memo decides; resolving "trace" applies every
+            # demotion an explicit request gets (trace events, armed
+            # faults, ineligible kernels).  A first launch stays batched,
+            # so a kernel launched once never pays the trace compile
+            mode = self.effective_mode("trace", grid_dim, gmem, faults,
+                                       trace_events=trace)
+        self._launched = True
         params = dict(params or {})
         memo_key = memo = None
         if (mode != "reference" and faults is None and not trace
@@ -944,13 +960,6 @@ class CompiledKernel:
                 memo = self._counter_memo.get(memo_key)
                 if memo is not None:
                     self._counter_memo.move_to_end(memo_key)
-        fallback = mode != requested
-        if (memo is not None and tiered and mode == "batched"
-                and self.trace_safety.eligible):
-            # values only: the generated code with its count-only lines
-            # skipped; counted launches stay batched, so a kernel launched
-            # once never pays the trace compile
-            mode = "trace"
         tl = _timeline.current()
         if tl is not None:
             tl.decision("gpu", "executor-mode", kernel=self.kernel.name,

@@ -9,8 +9,10 @@ the counters a counted launch of a freshly compiled program gives; data-
 dependent kernels never hit; faults, ``trace``, ``attribution`` and the
 reference executor bypass the memo; any change of the launch shape
 counts afresh; and one entry serves both fast modes.  They also pin the
-tiered default: an unpinned launch that counts runs ``batched``, and
-its memo hits run the values-only trace code on trace-eligible kernels.
+tiered default: an unpinned first launch runs ``batched``, and every
+re-launch of a trace-eligible kernel runs the generated trace code —
+counted on a memo miss, values only on a hit — unless the launch
+collects trace events, arms faults or pins a mode.
 """
 
 import dataclasses
@@ -438,7 +440,7 @@ def test_memo_serves_the_other_fast_mode(counted_mode, hit_mode):
 
 
 # --------------------------------------------------------------------------
-# the tiered default: counted launches run batched, memo hits run trace
+# the tiered default: first launches run batched, re-launches run trace
 # --------------------------------------------------------------------------
 
 #: a geometry at which, under the optimized pipeline, exactly the four
@@ -461,8 +463,17 @@ def _tiers(res) -> set:
     return {(st.executor, st.counters) for st in res.kernel_stats.values()}
 
 
-def _assert_same_run(got, want):
-    assert _stats(got) == _stats(want)
+def _kernel_tiers(res) -> dict:
+    return {name: (st.executor, st.counters)
+            for name, st in res.kernel_stats.items()}
+
+
+def _assert_same_run(got, want, *, attribution=True):
+    ours, theirs = _stats(got), _stats(want)
+    if not attribution:
+        for st in (*ours.values(), *theirs.values()):
+            st["attribution"] = None
+    assert ours == theirs
     assert got.modeled_ms == want.modeled_ms
     for kind in ("scalars", "outputs"):
         ours, theirs = getattr(got, kind), getattr(want, kind)
@@ -472,16 +483,21 @@ def _assert_same_run(got, want):
                 == np.asarray(v).tobytes(), (kind, name)
 
 
-def _heat_inputs(seed):
-    t = np.random.default_rng(seed).random((16, 16), dtype=np.float32)
+def _heat_inputs(seed, n):
+    t = np.random.default_rng(seed).random((n, n), dtype=np.float32)
     return dict(temp1=t, temp2=t.copy())
 
 
-def _matmul_inputs(seed):
+def _matmul_inputs(seed, n):
     rng = np.random.default_rng(seed)
-    return dict(A=rng.random(256, dtype=np.float32),
-                B=rng.random(256, dtype=np.float32),
-                C=np.zeros(256, np.float32), n=16)
+    return dict(A=rng.random(n * n, dtype=np.float32),
+                B=rng.random(n * n, dtype=np.float32),
+                C=np.zeros(n * n, np.float32), n=n)
+
+
+def _sized(make, n):
+    """An app's ``make(seed, n)`` as a ``make_inputs(rng)`` at size ``n``."""
+    return lambda rng: make(int(rng.integers(1 << 30)), n)
 
 
 _APP_GEOM = dict(num_gangs=14, num_workers=1, vector_length=32)
@@ -493,9 +509,16 @@ _APPS = {
                _matmul_inputs),
 }
 _TIER_RUNS = ([(c.label, c.source, TIER_GEOM, c.make_inputs) for c in _CASES]
-              + [(name, src, geom, lambda rng, f=make: f(
-                  int(rng.integers(1 << 30))))
+              + [(name, src, geom, _sized(make, 16))
                  for name, (src, geom, make) in _APPS.items()])
+#: the same runs with a second problem size, whose launches miss the
+#: memo entry the first size left
+_OTHER_CASES = {c.label: c for c in generate_cases(size=256)}
+_RELAUNCH_RUNS = (
+    [(c.label, c.source, TIER_GEOM, c.make_inputs,
+      _OTHER_CASES[c.label].make_inputs) for c in _CASES]
+    + [(name, src, geom, _sized(make, 16), _sized(make, 12))
+       for name, (src, geom, make) in _APPS.items()])
 
 
 @pytest.mark.usefixtures("unpinned")
@@ -506,6 +529,7 @@ def test_tiered_default(label, source, geom, make_inputs):
     first = prog.run(**make_inputs(np.random.default_rng(1)))
     assert _tiers(first) == {("batched", "counted")}
     fresh = make_inputs(np.random.default_rng(2))
+    # a re-launch at the same shape: a memo hit, values only
     second = prog.run(**fresh)
     for name, st in second.kernel_stats.items():
         eligible = prog._compiled[name].trace_safety.eligible
@@ -516,6 +540,78 @@ def test_tiered_default(label, source, geom, make_inputs):
             not ck.trace_safety.eligible for ck in prog._compiled.values())
     _assert_same_run(second, acc.compile(source, **geom).run(
         executor_mode="reference", **make_inputs(np.random.default_rng(2))))
+
+
+@pytest.mark.usefixtures("unpinned")
+@pytest.mark.parametrize("label, source, geom, make_first, make_other",
+                         _RELAUNCH_RUNS, ids=[r[0] for r in _RELAUNCH_RUNS])
+def test_relaunch_counts_on_trace(label, source, geom, make_first,
+                                  make_other):
+    prog = acc.compile(source, **geom)
+    first = prog.run(**make_first(np.random.default_rng(1)))
+    assert _tiers(first) == {("batched", "counted")}
+    assert all(ck.trace_source is None for ck in prog._compiled.values())
+    # test_tiered_default pins which labels hold an ineligible kernel
+    eligible = {name: prog._compiled[name].trace_safety.eligible
+                for name in first.kernel_stats}
+
+    def tiers(counters):
+        return {name: ("trace" if ok else "batched", counters)
+                for name, ok in eligible.items()}
+
+    # a new shape misses the memo: the re-launch counts, on trace
+    second = prog.run(**make_other(np.random.default_rng(2)))
+    assert _kernel_tiers(second) == tiers("counted")
+    third = prog.run(**make_other(np.random.default_rng(3)))
+    assert _kernel_tiers(third) == tiers("memo")
+    attributed = prog.run(attribution=True,
+                          **make_other(np.random.default_rng(2)))
+    assert _kernel_tiers(attributed) == tiers("counted")
+    want = acc.compile(source, **geom).run(
+        executor_mode="reference", attribution=True,
+        **make_other(np.random.default_rng(2)))
+    _assert_same_run(attributed, want)
+    _assert_same_run(second, want, attribution=False)
+
+
+#: a trace-eligible cell for the demotion checks
+_ELIGIBLE_CELL = "worker vector [+] float"
+
+
+@pytest.mark.usefixtures("unpinned")
+@pytest.mark.parametrize("shape", ("hit", "miss"))
+@pytest.mark.parametrize("way", ("trace-events", "faults", "pinned", "env"))
+def test_relaunch_demotions_stay_off_trace(way, shape, monkeypatch):
+    # a re-launch tiers up only where an explicit trace request would run
+    # trace: trace events, armed faults and pinned modes keep it off trace
+    case = next(c for c in _CASES if c.label == _ELIGIBLE_CELL)
+    prog = acc.compile(case.source, **TIER_GEOM)
+    assert all(ck.trace_safety.eligible for ck in prog._compiled.values())
+    prog.run(**case.make_inputs(np.random.default_rng(1)))
+    make = (case.make_inputs if shape == "hit"
+            else _OTHER_CASES[case.label].make_inputs)
+    kwargs = {"trace-events": dict(trace=True),
+              "faults": dict(faults=FaultPlan(seed=1), max_attempts=1),
+              "pinned": dict(executor_mode="batched"),
+              "env": {}}[way]
+    if way == "env":
+        monkeypatch.setenv("REPRO_EXECUTOR", "batched")
+    with timeline.enabled() as tl:
+        res = prog.run(**kwargs, **make(np.random.default_rng(2)))
+        modes = {e.attrs["mode"] for e in tl.events("gpu", "decision")
+                 if e.name == "executor-mode"}
+    executors = {st.executor for st in res.kernel_stats.values()}
+    assert modes == executors and "trace" not in executors
+    if way != "faults":  # armed faults send checked kernels to reference
+        assert executors == {"batched"}
+    if way == "trace-events":
+        fresh = acc.compile(case.source, **TIER_GEOM).run(
+            trace=True, **make(np.random.default_rng(2)))
+        events = {name: len(st.trace)
+                  for name, st in res.kernel_stats.items()}
+        assert all(events.values())
+        assert events == {name: len(st.trace)
+                          for name, st in fresh.kernel_stats.items()}
 
 
 @pytest.mark.usefixtures("unpinned")
