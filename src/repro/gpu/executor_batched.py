@@ -1,13 +1,34 @@
-"""Batched-block executor: every block of a launch advances at once.
+"""The block-axis runtime of both fast executors, and the batched one.
 
 The reference executor (:mod:`repro.gpu.executor`) walks grid blocks one
 at a time, so the Python statement-dispatch overhead scales with
 ``grid_dim`` even though blocks are independent by construction — the
-premise of the gang level.  This module re-compiles the same kernel IR
-into closures over arrays with a **leading block axis**: registers and
+premise of the gang level.  Both fast executors instead run a *chunk* of
+blocks at once over arrays with a **leading block axis**: registers and
 masks are ``(blocks, threads)``, shared memory is ``(blocks, size)``,
-``blockIdx.x`` is a ``(blocks, 1)`` column that broadcasts, and one NumPy
-operation advances all blocks of a chunk through a statement.
+``blockIdx.x`` is a ``(blocks, 1)`` column that broadcasts, and one
+NumPy operation advances all blocks of a chunk through a statement.
+
+This module holds what the two share, so each rule of the SIMT
+accounting lives in one place:
+
+* the block-independence proof (:func:`analyze_batch_safety`) and the
+  lane/warp uniformity analysis (:func:`_uniform_stmts`);
+* the chunk environment (:class:`BatchedBlockEnv`) with its row
+  compaction (:func:`_compact_env` / :func:`_expand_env`);
+* the access helpers — ``_gload``/``_gload_u``/``_gload_w``/``_gstore``/
+  ``_sload``/``_sstore``/``_sync``/``_shfl`` with the hazard checks
+  (``_check_read``/``_check_write``) and the counter calls they make;
+* the chunk driver (:func:`_run_chunks`) with the launch-end
+  segment-reuse correction.
+
+The executors differ only in how they dispatch to the helpers: the
+batched one (:func:`run_batched`) compiles the kernel IR into closures,
+one per statement; the trace one (:mod:`repro.gpu.executor_trace`)
+generates Python source that calls them.  Fault hooks and
+:class:`~repro.gpu.events.TraceEvent` collection are batched-only: the
+closures apply them after the helper (launches that need them never run
+the generated code).
 
 The contract is *bit identity* with the reference path: reduction
 results, every :class:`~repro.gpu.events.KernelStats` counter, and the
@@ -16,7 +37,7 @@ fault-injection sites (via per-block RNG substreams,
 The non-obvious part is the statement-level segment-reuse model, whose
 per-slot cache chains *across* blocks in the reference executor; see
 :meth:`~repro.gpu.memory.GlobalMemory._count_transactions_batched` and
-:func:`~repro.gpu.memory.finalize_segment_reuse` for how the batched
+:func:`~repro.gpu.memory.finalize_segment_reuse` for how the block-axis
 accounting restores the chain exactly.
 
 Control-flow accounting parity (each derived from the reference rules):
@@ -37,13 +58,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import BarrierDivergenceError, SimulationError
+from repro.errors import (
+    BarrierDivergenceError, OutOfBoundsError, SimulationError,
+)
 from repro.gpu import kernelir as K
 from repro.gpu.device import DeviceProperties
 from repro.gpu.events import KernelStats, TraceEvent
 from repro.gpu.executor import (
-    ATOMIC_OPS, _assign, _attr_global, _compile_expr, _truthy,
-    _watchdog_trip, _stmt_slots,
+    ATOMIC_OPS, _assign, _compile_expr, _truthy, _watchdog_trip,
+    _stmt_slots,
 )
 from repro.gpu.memory import (
     BatchedSharedMemory, GlobalMemory, finalize_segment_reuse,
@@ -290,7 +313,7 @@ class BatchedBlockEnv:
 
     __slots__ = (
         "regs", "tx", "ty", "tid", "bx", "bdx", "bdy", "gdx", "ntid",
-        "warp_starts", "nwarps", "warpkey", "block_of", "rows", "block_ids",
+        "warp_starts", "nwarps", "warpkey", "rows", "block_ids",
         "gmem", "smem", "stats", "params", "block_mask", "trace",
         "block_index", "seg_cache", "kernel_name", "steps",
         "watchdog_budget", "stuck", "check", "attr", "acct",
@@ -317,8 +340,6 @@ class BatchedBlockEnv:
         # (warp, segment) request keys never merge between blocks
         self.warpkey = (np.arange(nb, dtype=np.int64)[:, None]
                         * self.nwarps + warp_of[None, :])
-        self.block_of = np.broadcast_to(
-            block_ids.astype(np.int64)[:, None], (nb, n))
         self.rows = np.broadcast_to(np.arange(nb)[:, None], (nb, n))
         self.block_ids = block_ids
         self.gmem = gmem
@@ -350,65 +371,76 @@ def _warps_per_block(env: BatchedBlockEnv, mask: np.ndarray) -> np.ndarray:
     return t.sum(axis=1)
 
 
-#: thread-geometry specials that vary across the lanes of one block
-_LANE_SPECIALS = frozenset({"tx", "ty", "tid"})
+#: per uniformity level: the thread-geometry specials that vary across
+#: the lanes of one unit, the accesses the verdict covers, and whether
+#: it also needs uniform control around them.  ``ty`` is constant within
+#: a warp whenever ``blockDim.x`` is a multiple of the warp size — the
+#: runtime guard (``WOK``) the generated code adds
+_UNIFORMITY = {
+    "block": (frozenset({"tx", "ty", "tid"}), (K.GLoad, K.GStore), False),
+    "warp": (frozenset({"tx", "tid"}), (K.GLoad,), True),
+}
 
 
-def _lane_uniform_stmts(kernel) -> frozenset:
-    """ids of GLoad/GStore statements with a per-block-uniform index.
+def _uniform_stmts(kernel, level: str) -> frozenset:
+    """ids of the global accesses whose index is uniform per ``level``.
 
-    A register is *row-uniform* when every assignment to it is (a) of a
-    row-uniform expression and (b) not under lane-divergent control —
-    then all lanes of a block always hold the same value.  An index
-    built only from row-uniform registers, ``blockIdx``-derived
-    specials, params, and constants names one location per block
-    (broadcast reads like ``temp[k][0][0]``, per-block result stores),
-    so the runtime hazard check and the transaction dedup can run on one
-    representative per block instead of every lane.  Divergence of a
-    loop is judged from its condition; the fixed point makes values
-    flowing around back-edges converge.
+    A register is *uniform* when every assignment to it is (a) of a
+    uniform expression and (b) not under divergent control — then all
+    lanes of a block (``"block"``) or of a warp (``"warp"``) always hold
+    the same value.  Loads and shuffles make their destination varying;
+    divergence of a loop is judged from its condition, and the fixed
+    point makes values flowing around back-edges converge.
+
+    ``"block"`` collects GLoads and GStores with a uniform index: one
+    location per block (broadcast reads like ``temp[k][0][0]``,
+    per-block result stores), so a full-mask load checks hazards and
+    counts transactions on one representative per block
+    (:func:`_gload_u`); stores take the per-lane helper, since no Table 2
+    kernel stores a block-uniform index under a full mask.  ``"warp"``
+    collects GLoads with a uniform index under uniform control: the
+    representative helper (:func:`_gload_w`) runs on partial region
+    masks too, and warp-uniform control makes each such mask constant
+    within each warp (whole warps on or off).
+    The ``"warp"`` verdict assumes ``ty`` is warp-uniform, which holds
+    exactly when ``blockDim.x % warp_size == 0``; the generated code
+    guards on that at runtime and falls back to the per-lane helper.
     """
+    specials, kinds, control = _UNIFORMITY[level]
     varying: set[str] = set()
+    out: set[int] = set()
 
     def is_varying(e) -> bool:
         regs, specs = set(), set()
         _walk_expr(e, regs, specs)
-        return bool(specs & _LANE_SPECIALS) or bool(regs & varying)
+        return not (specials.isdisjoint(specs) and varying.isdisjoint(regs))
 
-    def visit(stmts, div):
+    def visit(stmts, div, collect):
+        # a collection that ignores control need not judge divergence
+        judge = control or not collect
         for s in stmts:
-            if isinstance(s, K.Assign):
+            if collect:
+                if isinstance(s, kinds) and not div \
+                        and not is_varying(s.index):
+                    out.add(id(s))
+            elif isinstance(s, K.Assign):
                 if div or is_varying(s.value):
                     varying.add(s.dst)
             elif isinstance(s, (K.GLoad, K.SLoad, K.ShflDown)):
                 varying.add(s.dst)
-            elif isinstance(s, K.If):
-                d = div or is_varying(s.cond)
-                visit(s.then, d)
-                visit(s.orelse, d)
+            if isinstance(s, K.If):
+                d = div or (judge and is_varying(s.cond))
+                visit(s.then, d, collect)
+                visit(s.orelse, d, collect)
             elif isinstance(s, (K.While, K.UniformWhile)):
-                visit(s.body, div or is_varying(s.cond))
+                visit(s.body, div or (judge and is_varying(s.cond)), collect)
 
     while True:
         before = len(varying)
-        visit(kernel.body, False)
+        visit(kernel.body, False, False)
         if len(varying) == before:
             break
-
-    out: set[int] = set()
-
-    def collect(stmts):
-        for s in stmts:
-            if isinstance(s, (K.GLoad, K.GStore)) \
-                    and not is_varying(s.index):
-                out.add(id(s))
-            elif isinstance(s, K.If):
-                collect(s.then)
-                collect(s.orelse)
-            elif isinstance(s, (K.While, K.UniformWhile)):
-                collect(s.body)
-
-    collect(kernel.body)
+    visit(kernel.body, False, True)
     return frozenset(out)
 
 
@@ -420,9 +452,9 @@ def _compact_env(env: BatchedBlockEnv, idx: np.ndarray) -> BatchedBlockEnv:
     instead of the chunk width.  Shared memory is NOT sliced — ``rows``
     keeps the original chunk-row index per surviving block, so shared
     accesses land in the right rows of the full ``(chunk, size)`` arrays.
-    All id-carrying fields (``bx``, ``warpkey``, ``block_of``,
-    ``block_ids``) hold absolute values, so counters, segment-reuse tags
-    and fault RNG substreams are unaffected by the slice.
+    All id-carrying fields (``bx``, ``warpkey``, ``block_ids``) keep
+    their unsliced values, so counters, segment-reuse tags and fault RNG
+    substreams are unaffected by the slice.
     """
     sub = BatchedBlockEnv.__new__(BatchedBlockEnv)
     sub.tid, sub.tx, sub.ty = env.tid, env.tx, env.ty
@@ -430,7 +462,6 @@ def _compact_env(env: BatchedBlockEnv, idx: np.ndarray) -> BatchedBlockEnv:
     sub.warp_starts, sub.nwarps = env.warp_starts, env.nwarps
     sub.bx = env.bx[idx]
     sub.warpkey = env.warpkey[idx]
-    sub.block_of = env.block_of[idx]
     sub.rows = env.rows[idx]
     sub.block_ids = env.block_ids[idx]
     sub.gmem, sub.smem, sub.stats = env.gmem, env.smem, env.stats
@@ -461,20 +492,417 @@ def _expand_env(env: BatchedBlockEnv, sub: BatchedBlockEnv,
     where never written, matching ``_assign`` on an uncompacted chunk.
     """
     env.steps = sub.steps
+    shp = env.block_mask.shape
     for name, sreg in sub.regs.items():
-        full = env.regs.get(name)
-        if full is None or full.dtype != sreg.dtype:
-            base = np.zeros(env.block_mask.shape, dtype=sreg.dtype)
-            if full is not None:
-                np.copyto(base, full, casting="unsafe")
-            env.regs[name] = base
-            full = base
-        full[idx] = sreg
+        _reg(env, name, sreg.dtype, shp)[idx] = sreg
 
 
 # --------------------------------------------------------------------------
-# statement compilation (block-axis variants of executor._compile_stmt)
+# the block-axis runtime: the batched closures call these helpers, and
+# the trace executor binds them into its generated code
 # --------------------------------------------------------------------------
+#
+# Each access helper takes the active-lane gathers of its region: ``mi``
+# (flat active-lane indices, None while the mask is full), ``wk`` (the
+# lanes' block-qualified warp keys, None on a values-only launch) and
+# ``bf``/``rw`` (the lanes' block ids / shared-memory rows, None where
+# no hazard check or counter reads them).  The generated code hoists
+# them to a region prologue; the closures derive them per access.
+
+def _bc(c: np.ndarray, shp) -> np.ndarray:
+    """Broadcast a condition/index array to the chunk shape."""
+    return c if c.shape == shp else np.broadcast_to(c, shp)
+
+
+def _fresh(v, shp) -> np.ndarray:
+    """Materialize an assigned value as a freshly-owned full-shape array.
+
+    Used when the RHS root may alias live storage (a register read, a
+    no-op cast, a constant): registers must stay uniquely owned so the
+    in-place masked ``copyto`` discipline can never write through an
+    alias.
+    """
+    v = np.asarray(v)
+    if v.shape != shp:
+        out = np.empty(shp, dtype=v.dtype)
+        out[...] = v
+        return out
+    return v.copy()
+
+
+def _full(v, shp) -> np.ndarray:
+    """Like :func:`_fresh` but for RHS roots that already produced a
+    fresh array (ufunc outputs): only materializes on a shape mismatch."""
+    v = np.asarray(v)
+    if v.shape != shp:
+        out = np.empty(shp, dtype=v.dtype)
+        out[...] = v
+        return out
+    return v
+
+
+def _reg(E, name: str, dtype, shp) -> np.ndarray:
+    """Register ``name`` ready for a masked write of ``dtype``.
+
+    A first write allocates it zero-filled at ``shp``; a write of another
+    dtype reallocates it and keeps the old values, cast, wherever the
+    write does not land (the reference ``executor._assign`` rule).  The
+    result is C-contiguous, so callers may scatter through
+    ``reshape(-1)``: a full-mask shuffle binds NumPy's column gather,
+    which is not, and is copied here on its next partial write.
+    """
+    reg = E.regs.get(name)
+    if reg is None or reg.dtype != dtype or not reg.flags.c_contiguous:
+        base = np.zeros(shp, dtype=dtype)
+        if reg is not None:
+            np.copyto(base, reg, casting="unsafe")
+        E.regs[name] = reg = base
+    return reg
+
+
+def _massign(E, name: str, v, m: np.ndarray) -> None:
+    """Masked register assignment — ``executor._assign`` minus the
+    full-mask branch (the generated code dispatches that statically)."""
+    v = np.asarray(v)
+    np.copyto(_reg(E, name, v.dtype, m.shape), v, where=m)
+
+
+def _cast(v, dt):
+    v = np.asarray(v)
+    if v.dtype == dt:
+        return v
+    return v.astype(dt)  # C-style truncation for float->int
+
+
+def _param(E, name: str):
+    try:
+        return E.params[name]
+    except KeyError:
+        raise SimulationError(
+            f"kernel parameter {name!r} not bound at launch") from None
+
+
+def _arow(attr, sid, execs, lanes, slots):
+    """Attribution row ``sid``, charged one execution of its statement."""
+    row = attr.row(sid)
+    row.execs += execs
+    row.lanes += lanes
+    row.warp_slots += slots
+    return row
+
+
+#: the memory counters an access's attribution row takes as deltas
+_MEM_COUNTERS = ("global_transactions", "l2_transactions", "global_bytes",
+                 "dram_bytes", "shared_accesses", "bank_conflict_extra")
+
+
+def _snap(st) -> tuple:
+    """The memory counters just before one access."""
+    return tuple(getattr(st, f) for f in _MEM_COUNTERS)
+
+
+def _attr_mem(row, st, before: tuple) -> None:
+    """Charge one access's memory-counter deltas to its attribution row."""
+    for f, b in zip(_MEM_COUNTERS, before):
+        setattr(row, f, getattr(row, f) + getattr(st, f) - b)
+
+
+def _act_of(v, m: np.ndarray, mi) -> np.ndarray:
+    """An index or value, broadcast to the chunk shape, at the active
+    lanes in flattened (block, lane) order."""
+    v = np.asarray(v)
+    if v.shape != m.shape:
+        v = np.broadcast_to(v, m.shape)
+    if mi is None:
+        return v.reshape(-1)
+    if v.flags.c_contiguous:
+        return v.reshape(-1).take(mi)
+    return v[m]
+
+
+def _wk(E, mi) -> np.ndarray:
+    """Block-qualified warp key of each active lane (the transaction and
+    bank counters group lanes by it; ``E.warpkey`` is C-contiguous)."""
+    w = E.warpkey.reshape(-1)
+    return w if mi is None else w.take(mi)
+
+
+def _lanes_of(col: np.ndarray, mi, n: int) -> np.ndarray:
+    """A per-row column (block id, shared-memory row) spread to the
+    active lanes — all ``n`` lanes of every row when ``mi`` is None."""
+    return np.repeat(col, n) if mi is None else col.take(mi // n)
+
+
+def _check_read(check, buf: str, act: np.ndarray, blk: np.ndarray) -> None:
+    """Hazard check of a read from a checked buffer.
+
+    Reading a location a *later* block wrote breaks the sequential block
+    order: raise :class:`_BatchHazard` (abort to the reference path).
+    Reads of locations an earlier block owns are fine one-sided: in
+    reference block order the earlier block has already stored, and the
+    lockstep chunk replay executes its store statement before this load.
+    The read is recorded in ``maxread``, so a later same-chunk *store* by
+    any block ≤ the reader still trips :func:`_check_write` (this is
+    what lets the fused finish-kernel epilogue — last block reads every
+    gang's partials — stay on the fast path).  Out-of-range indices are
+    clamped here; the access then raises the real OutOfBoundsError.
+    """
+    owners, maxread = check
+    ci = np.minimum(act, owners.size - 1)
+    own = owners[ci]
+    if ((own != -1) & (own > blk)).any():
+        raise _BatchHazard(buf)
+    # blk is non-decreasing along the flattened (block, thread) order,
+    # so last-write-wins fancy assignment leaves the per-location max —
+    # much cheaper than ``np.maximum.at``'s scalar inner loop
+    maxread[ci] = np.maximum(blk, maxread[ci])
+
+
+def _check_write(check, buf: str, act: np.ndarray, blk: np.ndarray) -> None:
+    """Hazard check of a store to a checked buffer: claim the locations
+    for the writing blocks.  Hazards: a location belongs to another
+    block, or a higher block already read it (sequentially that read
+    runs *after* this store and must see it).  Same-statement
+    first-write collisions need no flag: the highest block wins in both
+    executors."""
+    owners, maxread = check
+    ci = np.minimum(act, owners.size - 1)
+    own = owners[ci]
+    if ((own != -1) & (own != blk)).any():
+        raise _BatchHazard(buf)
+    if (maxread[ci] > blk).any():
+        raise _BatchHazard(buf)
+    owners[ci] = blk
+
+
+def _gload(E, name, buf, idx, m, mi, wk, bf, slot, check) -> None:
+    """Global load: hazard check, bounds, gather, transaction count."""
+    gm = E.gmem
+    act = _act_of(idx, m, mi)
+    if check is not None:
+        _check_read(check, buf.name, act, bf)
+    gm._check_bounds(buf, act)
+    vals = buf.data[act]
+    if E.acct is not None:
+        gm._count_transactions_batched(buf, act, wk, bf, E.acct,
+                                       reuse=(E.seg_cache, slot))
+    if mi is None:
+        E.regs[name] = vals.reshape(m.shape)
+    else:
+        _reg(E, name, vals.dtype, m.shape).reshape(-1)[mi] = vals
+
+
+def _gload_u(E, name, buf, idx, m, mi, wk, bf, slot, check) -> None:
+    """Per-block-uniform global load (the ``"block"`` uniformity verdict).
+
+    With a full region mask, one representative per block stands in for
+    every lane — no per-lane index materialization at all.  Counter
+    parity with the generic path is exact: a uniform index gives one
+    segment per warp and one tagged segment per block either way.  The
+    ``m`` array is passed to the transaction counter as ``act_idx``
+    because with a full mask the active-lane count *is* ``m.size`` — the
+    ``reps`` path only reads ``act_idx.size``.
+    """
+    if mi is not None:
+        _gload(E, name, buf, idx, m, mi, wk, bf, slot, check)
+        return
+    gm = E.gmem
+    shp = m.shape
+    idxb = np.asarray(idx)
+    if idxb.shape != shp:
+        idxb = np.broadcast_to(idxb, shp)
+    rep = idxb[:, 0]
+    rblk = E.block_ids
+    if check is not None:
+        _check_read(check, buf.name, rep, rblk)
+    gm._check_bounds(buf, rep)
+    v = buf.data[rep]
+    if E.acct is not None:
+        gm._count_transactions_batched(buf, m, wk, None, E.acct,
+                                       reuse=(E.seg_cache, slot),
+                                       reps=(rep, rblk))
+    out = np.empty(shp, dtype=v.dtype)
+    out[...] = v[:, None]
+    E.regs[name] = out
+
+
+def _gload_w(E, name, buf, idxw, m, full, slot, check, ws) -> None:
+    """Per-warp-uniform global load (static verdict + runtime guard).
+
+    ``idxw`` was evaluated on warp-representative slices — one column
+    per warp — so no per-lane index array is ever materialized.  Only
+    reached when ``blockDim.x % warp_size == 0`` and the ``"warp"``
+    uniformity verdict holds: each warp's lanes share one index value
+    and the region mask is constant within each warp, so active warps
+    (and their first lanes) stand in for active lanes.  Counter parity
+    with the per-lane path is exact — one segment per active warp makes
+    ``requests`` the active-warp count, the per-block dedup collapses to
+    the representatives, and the byte count uses the true lane count
+    (active warps x warp width); the hazard check and the bounds check
+    see the same index values in the same order.
+    """
+    gm = E.gmem
+    shp = m.shape
+    nb = shp[0]
+    nw = shp[1] // ws
+    idxw = np.asarray(idxw)
+    if idxw.shape != (nb, nw):
+        idxw = np.broadcast_to(idxw, (nb, nw))
+    if not idxw.flags["C_CONTIGUOUS"]:
+        idxw = np.ascontiguousarray(idxw)
+    if full:
+        rep = idxw.reshape(-1)
+        rblk = np.repeat(E.block_ids, nw)
+        lanes = m.size
+        miw = None
+    else:
+        miw = np.flatnonzero(np.ascontiguousarray(m[:, ::ws]).reshape(-1))
+        rep = idxw.reshape(-1).take(miw)
+        rblk = E.block_ids[miw // nw]
+        lanes = miw.size * ws
+    if check is not None:
+        _check_read(check, buf.name, rep, rblk)
+    gm._check_bounds(buf, rep)
+    vals = buf.data[rep]
+    if E.acct is not None:
+        gm._count_transactions_batched(buf, rep, None, None, E.acct,
+                                       reuse=(E.seg_cache, slot),
+                                       wreps=(rblk, lanes))
+    if miw is None:
+        out = np.empty(shp, dtype=vals.dtype)
+        out.reshape(nb, nw, ws)[...] = vals.reshape(nb, nw)[:, :, None]
+        E.regs[name] = out
+    else:
+        reg = _reg(E, name, vals.dtype, shp)
+        reg.reshape(nb * nw, ws)[miw] = vals[:, None]
+
+
+def _gstore(E, buf, idx, val, m, mi, wk, bf, slot, check) -> None:
+    """Global store: hazard claim before bounds, cast-then-gather value
+    order, duplicate indices resolved in flattened (block, lane) order —
+    the highest lane of the highest block wins, as blocks run one at a
+    time in the reference executor."""
+    gm = E.gmem
+    act = _act_of(idx, m, mi)
+    if check is not None:
+        _check_write(check, buf.name, act, bf)
+    gm._check_bounds(buf, act)
+    buf.data[act] = _act_of(np.asarray(val, dtype=buf.dtype.np), m, mi)
+    if E.acct is not None:
+        gm._count_transactions_batched(buf, act, wk, bf, E.acct,
+                                       reuse=(E.seg_cache, slot))
+
+
+def _sbounds(name: str, size: int, act: np.ndarray) -> None:
+    if act.size and (act.min() < 0 or act.max() >= size):
+        bad = act[(act < 0) | (act >= size)][0]
+        raise OutOfBoundsError(
+            f"index {int(bad)} out of bounds for shared array "
+            f"{name!r} of size {size}"
+        )
+
+
+def _sload(E, name, arr, idx, m, mi, wk, rw) -> None:
+    """Shared load: bounds, gather from the lanes' rows, bank count
+    (:meth:`~repro.gpu.memory.SharedMemory._count_banks` over
+    block-qualified warp keys)."""
+    sm = E.smem
+    a = sm._arrays[arr]
+    act = _act_of(idx, m, mi)
+    _sbounds(arr, a.shape[1], act)
+    vals = a[rw, act]
+    if sm.stats is not None:
+        sm._count_banks(arr, act, wk)
+    if mi is None:
+        E.regs[name] = vals.reshape(m.shape)
+    else:
+        _reg(E, name, vals.dtype, m.shape).reshape(-1)[mi] = vals
+
+
+def _sstore(E, arr, idx, val, m, mi, wk, rw) -> None:
+    """Shared store: bounds, cast-then-gather, scatter, bank count."""
+    sm = E.smem
+    a = sm._arrays[arr]
+    act = _act_of(idx, m, mi)
+    _sbounds(arr, a.shape[1], act)
+    a[rw, act] = _act_of(np.asarray(val, dtype=a.dtype), m, mi)
+    if sm.stats is not None:
+        sm._count_banks(arr, act, wk)
+
+
+def _shfl(E, dst, src, delta, ws, m, full) -> None:
+    """``__shfl_down``: lane ``l`` reads lane ``l + delta`` of its warp,
+    or keeps its own value past the warp's end."""
+    try:
+        reg = E.regs[src]
+    except KeyError:
+        raise SimulationError(
+            f"register {src!r} read before assignment") from None
+    n = reg.shape[-1]
+    ar = np.arange(n)
+    lane = ar % ws
+    src_idx = np.where(lane + delta < ws, np.minimum(ar + delta, n - 1), ar)
+    v = reg[:, src_idx]
+    if full:
+        E.regs[dst] = v  # fancy gather: freshly owned
+    else:
+        _massign(E, dst, v, m)
+
+
+def _sync(E, m, aws, row) -> None:
+    """Barrier: the divergence check always runs; the counters only on
+    a counted launch (``aws`` is None on a values-only one)."""
+    anyb = m.any(axis=1)
+    allb = m.all(axis=1)
+    partial = anyb & ~allb
+    if partial.any():
+        bad = int(np.flatnonzero(partial)[0])
+        raise BarrierDivergenceError(
+            "__syncthreads() executed under divergent control flow "
+            f"({int(m[bad].sum())}/{m.shape[1]} threads active)"
+        )
+    if aws is None:
+        return
+    E.stats.barriers += int(anyb.sum())
+    E.stats.warp_inst_slots += aws
+    if row is not None:
+        arrived = int(anyb.sum())
+        row.execs += arrived
+        row.lanes += int(m.sum())
+        row.warp_slots += aws
+        row.barrier_arrivals += arrived
+        row.barrier_wait_slots += aws
+
+
+# --------------------------------------------------------------------------
+# the batched executor: block-axis closures over the shared runtime
+# --------------------------------------------------------------------------
+
+def _active(m: np.ndarray):
+    """Flat indices of the active lanes of ``m``; None while it is full."""
+    return None if m.all() else m.reshape(-1).nonzero()[0]
+
+
+def _mrow(attr, sid, m: np.ndarray, aws: int):
+    """:func:`_arow` charged for the blocks and lanes active in ``m``
+    (the reference closure runs once per block with an active lane)."""
+    return _arow(attr, sid, int(m.any(axis=1).sum()), int(m.sum()), aws)
+
+
+def _fault_rows(hook, site: str, E, name: str, m: np.ndarray) -> None:
+    """Offer register ``name`` (just loaded) to one fault hook, row by
+    row, for each block with an active lane — in block order, keyed by
+    the block's absolute id so it draws from that block's substream."""
+    reg = E.regs[name]
+    for i in np.flatnonzero(m.any(axis=1)):
+        hook(site, reg[i], m[i], block=int(E.block_ids[i]))
+
+
+def _trace_events(E, kind: str, buf: str, m: np.ndarray) -> None:
+    trace = E.stats.trace
+    for b in E.block_ids[m.any(axis=1)]:
+        trace.append(TraceEvent(kind, int(b), buf))
+
 
 def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
                           uniform_ids: frozenset = frozenset(),
@@ -486,16 +914,19 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
     reference executor would not run the statement for) and ``aws`` its
     precomputed total — the region runner sums ``aw`` once so straight-
     line statements don't each pay the reduction.  ``uniform_ids`` holds
-    the :func:`_lane_uniform_stmts` verdicts; ``slot_sids`` maps each
-    global access's segment-reuse slot back to its stamped ``sid`` (for
-    the launch-end reuse correction's per-statement attribution).
+    the ``"block"`` :func:`_uniform_stmts` verdicts; ``slot_sids`` maps
+    each global access's segment-reuse slot back to its stamped ``sid``
+    (for the launch-end reuse correction's per-statement attribution).
 
-    Attribution parity with the reference executor: ``execs`` counts
-    blocks with at least one active lane (the reference closure runs
-    exactly once per such block), ``lanes``/``warp_slots`` are the lane
-    and warp-slot sums the reference path accumulates block by block,
-    and the counter deltas around each memory access distribute the same
-    totals because the accounting calls are shared.
+    Memory statements, barriers and shuffles call the shared runtime
+    helpers with per-access gathers; the fault hooks and TraceEvent
+    appends follow the helper.  Attribution parity with the reference
+    executor: ``execs`` counts blocks with at least one active lane (the
+    reference closure runs exactly once per such block),
+    ``lanes``/``warp_slots`` are the lane and warp-slot sums the
+    reference path accumulates block by block, and the counter deltas
+    around each memory access distribute the same totals because the
+    accounting calls are shared.
     """
     sid = s.sid
     if isinstance(s, K.Comment):
@@ -507,204 +938,108 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
         def do_assign(env, mask, aw, aws):
             env.stats.warp_inst_slots += aws
             if env.attr is not None:
-                r = env.attr.row(sid)
-                r.execs += int(mask.any(axis=1).sum())
-                r.lanes += int(mask.sum())
-                r.warp_slots += aws
+                _mrow(env.attr, sid, mask, aws)
             _assign(env, name, fv(env), mask)
         return do_assign
+
+    if isinstance(s, (K.GLoad, K.GStore)):
+        slot = next(_stmt_slots)
+        if slot_sids is not None:
+            slot_sids[slot] = sid
 
     if isinstance(s, K.GLoad):
         fi = _compile_expr(s.index)
         name, buf = s.dst, s.buf
         uni = id(s) in uniform_ids
-        slot = next(_stmt_slots)
-        if slot_sids is not None:
-            slot_sids[slot] = sid
+        load = _gload_u if uni else _gload
         def do_gload(env, mask, aw, aws):
-            env.stats.warp_inst_slots += aws
-            a = env.attr
+            st, gm = env.stats, env.gmem
+            st.warp_inst_slots += aws
+            a, fr = env.attr, gm.faults
             if a is not None:
-                st = env.stats
-                g0, l0 = st.global_transactions, st.l2_transactions
-                b0, d0 = st.global_bytes, st.dram_bytes
-                fr = env.gmem.faults
+                m0 = _snap(st)
                 f0 = len(fr.records) if fr is not None else 0
-            idx = np.asarray(fi(env))
-            if idx.shape != mask.shape:
-                idx = np.broadcast_to(idx, mask.shape)
-            act = blk = reps = None
-            if uni:
-                # statically per-block-uniform index: one representative
-                # (the first active lane) stands in for every lane of its
-                # block, both for the hazard check and for transaction
-                # counting (the block touches exactly one segment)
-                rows = np.flatnonzero(mask.any(axis=1))
-                rep = idx[rows, mask.argmax(axis=1)[rows]]
-                rblk = env.block_ids[rows]
-                reps = (rep, rblk)
-            if env.check is not None and (state := env.check.get(buf)) \
-                    is not None:
-                # reading a location a *later* block wrote breaks the
-                # sequential block order — abort to the reference path.
-                # Reads of locations owned by an earlier block are fine
-                # one-sided: in reference block order the earlier block
-                # has already stored, and the lockstep chunk replay
-                # executes its store statement before this load; the
-                # read is recorded in ``maxread`` below, so a subsequent
-                # same-chunk *store* by any block ≤ the reader still
-                # trips the store-side hazard check.  (This is what lets
-                # the fused finish-kernel epilogue — last block reads
-                # every gang's partials — stay on the batched path.)
-                # Out-of-range indices are clamped here; the load itself
-                # raises the real OutOfBoundsError just below.
-                owners, maxread = state
-                if not uni:
-                    act = idx[mask]
-                    blk = np.repeat(env.block_ids,
-                                    np.count_nonzero(mask, axis=1))
-                    rep, rblk = act, blk
-                ci = np.minimum(rep, owners.size - 1)
-                own = owners[ci]
-                if ((own != -1) & (own > rblk)).any():
-                    raise _BatchHazard(buf)
-                # rblk is non-decreasing along the flattened (block,
-                # thread) order, so last-write-wins fancy assignment
-                # leaves the per-location max — much cheaper than
-                # ``np.maximum.at``'s scalar inner loop
-                maxread[ci] = np.maximum(rblk, maxread[ci])
-            out = env.gmem.load_batched(
-                buf, idx, mask, env.warpkey, env.block_of, env.block_ids,
-                env.acct, reuse=(env.seg_cache, slot), act=act,
-                act_block=blk, reps=reps)
+            chk = None if env.check is None else env.check.get(buf)
+            mi = _active(mask)
+            wk = None if env.acct is None else _wk(env, mi)
+            # block ids feed only the hazard check and the counters (and
+            # a full-mask uniform load takes one per block outright)
+            bf = None
+            if (wk is not None or chk is not None) \
+                    and (mi is not None or not uni):
+                bf = _lanes_of(env.block_ids, mi, mask.shape[1])
+            load(env, name, gm[buf], fi(env), mask, mi, wk, bf, slot, chk)
+            if fr is not None:
+                _fault_rows(fr.on_gload, buf, env, name, mask)
             if a is not None:
-                r = a.row(sid)
-                r.execs += int(mask.any(axis=1).sum())
-                r.lanes += int(mask.sum())
-                r.warp_slots += aws
-                _attr_global(r, st, g0, l0, b0, d0)
+                r = _mrow(a, sid, mask, aws)
+                _attr_mem(r, st, m0)
                 if fr is not None:
                     r.fault_events += len(fr.records) - f0
-            _assign(env, name, out, mask)
             if env.trace:
-                trace = env.stats.trace
-                for b in env.block_ids[mask.any(axis=1)]:
-                    trace.append(TraceEvent("gload", int(b), buf))
+                _trace_events(env, "gload", buf, mask)
         return do_gload
 
     if isinstance(s, K.GStore):
         fi, fv = _compile_expr(s.index), _compile_expr(s.value)
         buf = s.buf
-        uni = id(s) in uniform_ids
-        slot = next(_stmt_slots)
-        if slot_sids is not None:
-            slot_sids[slot] = sid
         def do_gstore(env, mask, aw, aws):
-            env.stats.warp_inst_slots += aws
+            st = env.stats
+            st.warp_inst_slots += aws
             a = env.attr
             if a is not None:
-                st = env.stats
-                g0, l0 = st.global_transactions, st.l2_transactions
-                b0, d0 = st.global_bytes, st.dram_bytes
-            idx = np.asarray(fi(env))
-            if idx.shape != mask.shape:
-                idx = np.broadcast_to(idx, mask.shape)
-            val = np.asarray(fv(env))
-            if val.shape != mask.shape:
-                val = np.broadcast_to(val, mask.shape)
-            act = blk = reps = None
-            if uni:
-                rows = np.flatnonzero(mask.any(axis=1))
-                rep = idx[rows, mask.argmax(axis=1)[rows]]
-                rblk = env.block_ids[rows]
-                reps = (rep, rblk)
-            if env.check is not None and (state := env.check.get(buf)) \
-                    is not None:
-                # claim locations for the writing block.  Hazards: the
-                # location belongs to another block, or a higher block
-                # already read it (sequentially that read runs *after*
-                # this store and must see it).  Same-statement first-write
-                # collisions need no flag: the highest block wins in both
-                # executors.
-                owners, maxread = state
-                if not uni:
-                    act = idx[mask]
-                    blk = np.repeat(env.block_ids,
-                                    np.count_nonzero(mask, axis=1))
-                    rep, rblk = act, blk
-                ci = np.minimum(rep, owners.size - 1)
-                own = owners[ci]
-                if ((own != -1) & (own != rblk)).any():
-                    raise _BatchHazard(buf)
-                if (maxread[ci] > rblk).any():
-                    raise _BatchHazard(buf)
-                owners[ci] = rblk
-            env.gmem.store_batched(
-                buf, idx, val, mask, env.warpkey, env.block_of, env.acct,
-                reuse=(env.seg_cache, slot), act=act, act_block=blk,
-                reps=reps)
+                m0 = _snap(st)
+            chk = None if env.check is None else env.check.get(buf)
+            mi = _active(mask)
+            wk = None if env.acct is None else _wk(env, mi)
+            bf = None if wk is None and chk is None \
+                else _lanes_of(env.block_ids, mi, mask.shape[1])
+            _gstore(env, env.gmem[buf], fi(env), fv(env), mask, mi, wk, bf,
+                    slot, chk)
             if a is not None:
-                r = a.row(sid)
-                r.execs += int(mask.any(axis=1).sum())
-                r.lanes += int(mask.sum())
-                r.warp_slots += aws
-                _attr_global(r, st, g0, l0, b0, d0)
+                _attr_mem(_mrow(a, sid, mask, aws), st, m0)
             if env.trace:
-                trace = env.stats.trace
-                for b in env.block_ids[mask.any(axis=1)]:
-                    trace.append(TraceEvent("gstore", int(b), buf))
+                _trace_events(env, "gstore", buf, mask)
         return do_gstore
 
     if isinstance(s, K.SLoad):
         fi = _compile_expr(s.index)
         name, arr = s.dst, s.arr
         def do_sload(env, mask, aw, aws):
-            env.stats.warp_inst_slots += aws
-            idx = np.asarray(fi(env))
-            if idx.shape != mask.shape:
-                idx = np.broadcast_to(idx, mask.shape)
-            a = env.attr
+            st = env.stats
+            st.warp_inst_slots += aws
+            a, fr = env.attr, env.gmem.faults
             if a is not None:
-                st = env.stats
-                s0, c0 = st.shared_accesses, st.bank_conflict_extra
-                fr = env.smem.faults
+                m0 = _snap(st)
                 f0 = len(fr.records) if fr is not None else 0
-            out = env.smem.load(arr, idx, mask, env.warpkey, env.rows)
+            mi = _active(mask)
+            wk = None if env.acct is None else _wk(env, mi)
+            _sload(env, name, arr, fi(env), mask, mi, wk,
+                   _lanes_of(env.rows[:, 0], mi, mask.shape[1]))
+            if fr is not None:
+                _fault_rows(fr.on_sload, arr, env, name, mask)
             if a is not None:
-                r = a.row(sid)
-                r.execs += int(mask.any(axis=1).sum())
-                r.lanes += int(mask.sum())
-                r.warp_slots += aws
-                r.shared_accesses += st.shared_accesses - s0
-                r.bank_conflict_extra += st.bank_conflict_extra - c0
+                r = _mrow(a, sid, mask, aws)
+                _attr_mem(r, st, m0)
                 if fr is not None:
                     r.fault_events += len(fr.records) - f0
-            _assign(env, name, out, mask)
         return do_sload
 
     if isinstance(s, K.SStore):
         fi, fv = _compile_expr(s.index), _compile_expr(s.value)
         arr = s.arr
         def do_sstore(env, mask, aw, aws):
-            env.stats.warp_inst_slots += aws
-            idx = np.asarray(fi(env))
-            if idx.shape != mask.shape:
-                idx = np.broadcast_to(idx, mask.shape)
-            val = np.asarray(fv(env))
-            if val.shape != mask.shape:
-                val = np.broadcast_to(val, mask.shape)
+            st = env.stats
+            st.warp_inst_slots += aws
             a = env.attr
             if a is not None:
-                st = env.stats
-                s0, c0 = st.shared_accesses, st.bank_conflict_extra
-            env.smem.store(arr, idx, val, mask, env.warpkey, env.rows)
+                m0 = _snap(st)
+            mi = _active(mask)
+            wk = None if env.acct is None else _wk(env, mi)
+            _sstore(env, arr, fi(env), fv(env), mask, mi, wk,
+                    _lanes_of(env.rows[:, 0], mi, mask.shape[1]))
             if a is not None:
-                r = a.row(sid)
-                r.execs += int(mask.any(axis=1).sum())
-                r.lanes += int(mask.sum())
-                r.warp_slots += aws
-                r.shared_accesses += st.shared_accesses - s0
-                r.bank_conflict_extra += st.bank_conflict_extra - c0
+                _attr_mem(_mrow(a, sid, mask, aws), st, m0)
         return do_sstore
 
     if isinstance(s, K.If):
@@ -725,11 +1060,7 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
             d = int((t & e).sum())
             env.stats.divergent_branches += d
             if env.attr is not None:
-                r = env.attr.row(sid)
-                r.execs += int(mask.any(axis=1).sum())
-                r.lanes += int(mask.sum())
-                r.warp_slots += aws
-                r.divergence_splits += d
+                _mrow(env.attr, sid, mask, aws).divergence_splits += d
             if m_then.any():
                 fthen(env, m_then, t.sum(axis=1))
             if felse is not None and m_else.any():
@@ -748,10 +1079,7 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
             env.stats.warp_inst_slots += aws  # first check
             r = None
             if env.attr is not None:
-                r = env.attr.row(sid)
-                r.execs += int(mask.any(axis=1).sum())
-                r.lanes += int(mask.sum())
-                r.warp_slots += aws
+                r = _mrow(env.attr, sid, mask, aws)
             stack = []  # (parent env, kept rows) per compaction level
             live = m.any(axis=1)
             lc = int(live.sum())
@@ -799,10 +1127,8 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
             live = mask.any(axis=1)
             r = None
             if env.attr is not None:
-                r = env.attr.row(sid)
-                r.execs += int(live.sum())
-                r.lanes += int(mask.sum())
-                r.warp_slots += aws
+                r = _arow(env.attr, sid, int(live.sum()), int(mask.sum()),
+                          aws)
             if not live.any():
                 return
             stack = []  # (parent env, kept rows) per compaction level
@@ -839,29 +1165,10 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
 
     if isinstance(s, K.Sync):
         def do_sync(env, mask, aw, aws):
-            anyb = mask.any(axis=1)
-            allb = mask.all(axis=1)
-            partial = anyb & ~allb
-            if partial.any():
-                bad = int(np.flatnonzero(partial)[0])
-                raise BarrierDivergenceError(
-                    "__syncthreads() executed under divergent control flow "
-                    f"({int(mask[bad].sum())}/{mask.shape[1]} threads active)"
-                )
-            env.stats.barriers += int(anyb.sum())
-            env.stats.warp_inst_slots += aws
-            if env.attr is not None:
-                r = env.attr.row(sid)
-                arrived = int(anyb.sum())
-                r.execs += arrived
-                r.lanes += int(mask.sum())
-                r.warp_slots += aws
-                r.barrier_arrivals += arrived
-                r.barrier_wait_slots += aws
+            _sync(env, mask, None if env.acct is None else aws,
+                  None if env.attr is None else env.attr.row(sid))
             if env.trace:
-                trace = env.stats.trace
-                for b in env.block_ids[anyb]:
-                    trace.append(TraceEvent("sync", int(b), ""))
+                _trace_events(env, "sync", "", mask)
         return do_sync
 
     if isinstance(s, K.ShflDown):
@@ -870,21 +1177,8 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
         def do_shfl(env, mask, aw, aws):
             env.stats.warp_inst_slots += aws
             if env.attr is not None:
-                r = env.attr.row(sid)
-                r.execs += int(mask.any(axis=1).sum())
-                r.lanes += int(mask.sum())
-                r.warp_slots += aws
-            try:
-                reg = env.regs[src]
-            except KeyError:
-                raise SimulationError(
-                    f"register {src!r} read before assignment") from None
-            n = reg.shape[-1]
-            ar = np.arange(n)
-            lane = ar % ws
-            src_idx = np.where(lane + delta < ws,
-                               np.minimum(ar + delta, n - 1), ar)
-            _assign(env, dst, reg[:, src_idx], mask)
+                _mrow(env.attr, sid, mask, aws)
+            _shfl(env, dst, src, delta, ws, mask, bool(mask.all()))
         return do_shfl
 
     if isinstance(s, K.AtomicUpdate):
@@ -896,7 +1190,8 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
             raise SimulationError(
                 f"no atomic support for operator {s.op!r}") from None
         def do_atomic(env, mask, aw, aws):
-            env.stats.warp_inst_slots += aws
+            st = env.stats
+            st.warp_inst_slots += aws
             idx = np.asarray(fi(env))
             if idx.shape != mask.shape:
                 idx = np.broadcast_to(idx, mask.shape)
@@ -905,20 +1200,15 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
                 val = np.broadcast_to(val, mask.shape)
             a = env.attr
             if a is not None:
-                st = env.stats
-                g0, l0 = st.global_transactions, st.l2_transactions
-                b0, d0 = st.global_bytes, st.dram_bytes
+                m0 = _snap(st)
             # ufunc.at applies duplicates in flattened (block, thread)
             # order — the same combine order as blocks run one at a time
             env.gmem.atomic_update(buf, idx, val, mask, env.warpkey,
-                                   env.stats, combine)
+                                   st, combine)
             if a is not None:
-                r = a.row(sid)
-                r.execs += int(mask.any(axis=1).sum())
-                r.lanes += int(mask.sum())
-                r.warp_slots += aws
-                _attr_global(r, st, g0, l0, b0, d0)
-                r.atomic_rounds += st.global_transactions - g0
+                r = _mrow(a, sid, mask, aws)
+                _attr_mem(r, st, m0)
+                r.atomic_rounds += st.global_transactions - m0[0]
         return do_atomic
 
     raise SimulationError(f"unknown statement node {s!r}")
@@ -938,35 +1228,33 @@ def _compile_block_batched(stmts: tuple, device: DeviceProperties,
 
 
 # --------------------------------------------------------------------------
-# launch driver
+# launch drivers
 # --------------------------------------------------------------------------
 
-def run_batched(ck, gmem: GlobalMemory, grid_dim: int,
+def _run_chunks(ck, gmem: GlobalMemory, grid_dim: int,
                 block_dim: tuple[int, int], stats: KernelStats,
-                params: dict, trace: bool, faults, budget: float,
-                stuck: bool, block_batch: int | None,
-                check: dict | None = None,
-                count: bool = True) -> KernelStats:
-    """Execute a validated launch over block chunks of ``block_batch``.
+                params: dict, budget: float, block_batch: int | None,
+                check: dict | None, count: bool, body, slot_sids: dict, *,
+                trace: bool = False, faults=None,
+                stuck: bool = False) -> KernelStats:
+    """Run a validated launch as ``body(env)`` over block chunks.
 
-    Called by :meth:`~repro.gpu.executor.CompiledKernel.run` after launch
-    validation, fault-arming, and stats construction.  Results and
-    counters are invariant under the chunk size: per-launch state (loop
-    ``steps``, the segment-reuse cache keyed by absolute block ids)
-    carries across chunks, and the cross-block reuse correction runs once
-    at launch end.  ``count=False`` (a counter-memo hit) executes values
-    only: transaction and bank accounting, the segment-reuse bookkeeping
-    and its launch-end correction are skipped, so the memory counters of
+    Called by both fast executors once :meth:`CompiledKernel.run
+    <repro.gpu.executor.CompiledKernel.run>` has validated the launch,
+    armed the faults and built ``stats``.  Results and counters are
+    invariant under the chunk size of ``block_batch``: per-launch state
+    (loop ``steps``, the segment-reuse cache keyed by absolute block ids)
+    carries across chunks, the checked-hazard state resets at chunk
+    boundaries, and the cross-block reuse correction runs once at launch
+    end, attributed through ``slot_sids`` (segment-reuse slot → stamped
+    sid).  ``count=False`` (a counter-memo hit) executes values only:
+    transaction and bank accounting, the segment-reuse bookkeeping and
+    its launch-end correction are skipped, so the memory counters of
     ``stats`` stay unset.
     """
     bdx, bdy = block_dim
     chunk = int(block_batch) if block_batch and block_batch > 0 \
         else DEFAULT_BLOCK_BATCH
-    body = ck._batched_body
-    if body is None:
-        body = ck._batched_body = _compile_block_batched(
-            ck.kernel.body, ck.device, _lane_uniform_stmts(ck.kernel),
-            ck._slot_sids)
     acct = stats if count else None
     seg_cache: dict = {}
     steps = 0
@@ -979,9 +1267,8 @@ def run_batched(ck, gmem: GlobalMemory, grid_dim: int,
                             dtype=np.int64)
             env = BatchedBlockEnv(bdx, bdy, grid_dim, ids, gmem, stats,
                                   params, ck.device.warp_size, trace)
-            env.smem = BatchedSharedMemory(
-                ck.device, ck.kernel.shared, acct, len(ids),
-                faults=faults, block_ids=ids)
+            env.smem = BatchedSharedMemory(ck.device, ck.kernel.shared,
+                                           acct, len(ids))
             env.acct = acct
             env.seg_cache = seg_cache
             env.kernel_name = ck.kernel.name
@@ -990,8 +1277,7 @@ def run_batched(ck, gmem: GlobalMemory, grid_dim: int,
             env.stuck = stuck
             env.check = check
             env.attr = stats.attribution
-            body(env, env.block_mask,
-                 np.full(len(ids), env.nwarps, dtype=np.int64))
+            body(env)
             steps = env.steps
             if check is not None and start + chunk < grid_dim:
                 # chunk boundary: earlier chunks are complete and every
@@ -1005,6 +1291,29 @@ def run_batched(ck, gmem: GlobalMemory, grid_dim: int,
     if count:
         finalize_segment_reuse(seg_cache, stats,
                                ck.device.transaction_bytes,
-                               attr=stats.attribution,
-                               slot_sids=ck._slot_sids)
+                               attr=stats.attribution, slot_sids=slot_sids)
     return stats
+
+
+def run_batched(ck, gmem: GlobalMemory, grid_dim: int,
+                block_dim: tuple[int, int], stats: KernelStats,
+                params: dict, trace: bool, faults, budget: float,
+                stuck: bool, block_batch: int | None,
+                check: dict | None = None,
+                count: bool = True) -> KernelStats:
+    """Execute a validated launch through the block-axis closures (see
+    :func:`_run_chunks`); the only fast path that honors fault
+    injection, stuck warps and TraceEvent collection."""
+    closures = ck._batched_body
+    if closures is None:
+        closures = ck._batched_body = _compile_block_batched(
+            ck.kernel.body, ck.device, _uniform_stmts(ck.kernel, "block"),
+            ck._slot_sids)
+
+    def body(env):
+        closures(env, env.block_mask,
+                 np.full(len(env.block_ids), env.nwarps, dtype=np.int64))
+
+    return _run_chunks(ck, gmem, grid_dim, block_dim, stats, params, budget,
+                       block_batch, check, count, body, ck._slot_sids,
+                       trace=trace, faults=faults, stuck=stuck)

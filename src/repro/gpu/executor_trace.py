@@ -2,41 +2,40 @@
 
 The batched executor (:mod:`repro.gpu.executor_batched`) removed the
 per-block Python dispatch but still walks the compiled closure tree —
-one Python call per statement per region execution, plus per-access mask
-gathers (``warpkey[mask]``, ``block_of[mask]``) that are recomputed for
-every statement of a straight-line block even though the mask did not
-change.  This module removes that layer too: each kernel is *compiled to
-Python source* once — a single function of whole-array NumPy ops over
-the ``(block, lane)`` axes — and executed per chunk.  What the generated
-code buys over the closure interpreter:
+one Python call per statement per region execution, plus per-access
+active-lane gathers that are recomputed for every statement of a
+straight-line block even though the mask did not change.  This module
+removes that layer too: each kernel is *compiled to Python source* once
+— a single function of whole-array NumPy ops over the ``(block, lane)``
+axes — and executed per chunk.  What the generated code buys over the
+closure interpreter:
 
 * straight-line blocks are fused: no per-statement closure dispatch and
   no repeated ``np.asarray``/broadcast plumbing;
 * divergence masks are precomputed per branch region, with an all-true
   fast path that skips the warp ``reduceat`` bookkeeping entirely;
-* the per-region active-lane gathers (``mi``/``warpkey``/``block``/
-  ``rows``) are hoisted to the region prologue and shared by every
-  memory access in the region — skipped outright while the region mask
-  is full, and the block ids / warp keys derived only where a hazard
-  check or the counters read them;
+* the per-region active-lane gathers (``mi``/``wk``/``bf``/``rw``) are
+  hoisted to the region prologue and shared by every memory access in
+  the region — skipped outright while the region mask is full, and the
+  block ids / warp keys derived only where a hazard check or the
+  counters read them;
+* per-warp-uniform loads run on one representative lane per warp
+  (``_gload_w``);
 * counter updates (``KernelStats`` / ``StmtCounters``) are emitted
   inline per region with the enclosing region's precomputed active-warp
-  totals, exactly mirroring the batched closures' arithmetic.  Every
-  line whose only consumer is a counter sits behind one per-launch flag
-  (``CNT = E.acct is not None``), so the same source runs counted or
-  values-only.
+  totals.  Every line whose only consumer is a counter sits behind one
+  per-launch flag (``CNT = E.acct is not None``), so the same source
+  runs counted or values-only.
 
 Bit-identity is the contract, not a goal: results, every KernelStats
 counter, and attribution tables must match the reference and batched
-executors exactly.  The accounting *calls* are therefore shared — the
-generated code invokes the same
-:meth:`~repro.gpu.memory.GlobalMemory._count_transactions_batched` and
-:meth:`~repro.gpu.memory.SharedMemory._count_banks` the batched closures
-use, with the same per-launch segment-reuse cache and the same
-launch-end :func:`~repro.gpu.memory.finalize_segment_reuse` replay.  On
-a counter-memo hit (``E.acct is None``) the generated code skips its
-``CNT`` lines and the helpers skip those calls: the launch moves data
-only.
+executors exactly.  The generated code therefore calls the batched
+executor's own block-axis runtime — the access helpers with their
+hazard checks and accounting calls, row compaction, and the chunk
+driver with its launch-end segment-reuse correction — so every rule
+lives in one place and only the dispatch differs.  On a counter-memo
+hit (``E.acct is None``) the generated code skips its ``CNT`` lines and
+the helpers skip their counter calls: the launch moves data only.
 
 Eligibility (:func:`analyze_trace_safety`) is the batched proof plus "no
 atomics" (``ufunc.at`` ordering is interpreter-level; not worth a second
@@ -52,21 +51,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import BarrierDivergenceError, SimulationError
+from repro.errors import SimulationError
 from repro.gpu import kernelir as K
 from repro.gpu.device import DeviceProperties
-from repro.gpu.executor import (
-    _BINOPS, _CALLS, _c_div, _c_mod, _truthy,
-)
+from repro.gpu.executor import _c_div, _c_mod, _CALLS, _truthy
 from repro.gpu.executor_batched import (
-    DEFAULT_BLOCK_BATCH, BatchedBlockEnv, _BatchHazard, _compact_env,
-    _expand_env, _lane_uniform_stmts, _walk_expr, _warps_per_block,
-    _watchdog_trip, analyze_batch_safety,
-)
-from repro.gpu.memory import (
-    BatchedSharedMemory, GlobalMemory, finalize_segment_reuse,
+    _UNIFORMITY, _arow, _attr_mem, _bc, _cast, _compact_env, _expand_env,
+    _fresh, _full, _gload, _gload_u, _gload_w, _gstore, _lanes_of,
+    _massign, _param, _run_chunks, _shfl, _sload, _snap, _sstore, _sync,
+    _uniform_stmts, _warps_per_block, _watchdog_trip, _wk,
+    analyze_batch_safety,
 )
 from repro.gpu.events import KernelStats
+from repro.gpu.memory import GlobalMemory
+# kept for perfbench's lookup by name (the chunk driver calls its own)
+from repro.gpu.memory import finalize_segment_reuse  # noqa: F401
 
 __all__ = [
     "TraceSafety", "analyze_trace_safety", "emit_trace_source",
@@ -91,505 +90,31 @@ class TraceSafety:
         return f"TraceSafety(eligible={self.eligible}, reason={self.reason!r})"
 
 
-_SUPPORTED_STMTS = (K.Assign, K.GLoad, K.GStore, K.SLoad, K.SStore,
-                    K.If, K.While, K.UniformWhile, K.Sync, K.ShflDown,
-                    K.Comment)
-
-
-def _expr_unsupported(e) -> str | None:
-    """First unsupported construct in an expression tree, or None."""
-    if isinstance(e, (K.Const, K.Reg, K.Special, K.Param)):
-        return None
-    if isinstance(e, K.Bin):
-        if e.op not in _BINOPS and e.op not in ("&&", "||"):
-            return f"binary op {e.op!r}"
-        return _expr_unsupported(e.a) or _expr_unsupported(e.b)
-    if isinstance(e, K.Un):
-        if e.op not in ("neg", "not", "inv"):
-            return f"unary op {e.op!r}"
-        return _expr_unsupported(e.a)
-    if isinstance(e, K.Call):
-        if e.fn not in _CALLS:
-            return f"intrinsic {e.fn!r}"
-        for a in e.args:
-            bad = _expr_unsupported(a)
-            if bad:
-                return bad
-        return None
-    if isinstance(e, K.Cast):
-        return _expr_unsupported(e.a)
-    if isinstance(e, K.Select):
-        return (_expr_unsupported(e.cond) or _expr_unsupported(e.a)
-                or _expr_unsupported(e.b))
-    return f"expression node {type(e).__name__}"
-
-
 def analyze_trace_safety(kernel: K.Kernel) -> TraceSafety:
     """Static proof that ``kernel`` can be trace-compiled bit-identically.
 
-    Requirements: every statement/expression is in the code generator's
-    vocabulary, there are no atomics (their duplicate-combine order is a
-    property of ``ufunc.at`` dispatch, left to the interpreters), and
+    Requirements: there are no atomics (their duplicate-combine order is
+    a property of ``ufunc.at`` dispatch, left to the interpreters), and
     the batched block-independence proof holds — the trace executor
     advances chunks exactly like the batched one, so it inherits both
-    the proof and the runtime checked-hazard discipline.
+    the proof and the runtime checked-hazard discipline.  The operator
+    and intrinsic vocabulary needs no check here:
+    :class:`~repro.gpu.executor.CompiledKernel` refuses unknown ones at
+    construction.
     """
-    for s, _ in K.walk_stmts(kernel.body):
-        if isinstance(s, K.AtomicUpdate):
-            return TraceSafety(False, "atomic update (order-sensitive)")
-        if not isinstance(s, _SUPPORTED_STMTS):
-            return TraceSafety(
-                False, f"unsupported statement {type(s).__name__}")
-        for f in K.EXPR_FIELDS.get(type(s), ()):
-            bad = _expr_unsupported(getattr(s, f))
-            if bad:
-                return TraceSafety(False, f"unsupported {bad}")
+    if any(isinstance(s, K.AtomicUpdate)
+           for s, _ in K.walk_stmts(kernel.body)):
+        return TraceSafety(False, "atomic update (order-sensitive)")
     safety = analyze_batch_safety(kernel)
     if not safety.batchable:
         return TraceSafety(False, safety.reason)
     return TraceSafety(True, "")
 
 
-#: thread-geometry specials that vary across the lanes of one *warp*
-#: (``ty`` is constant within a warp whenever ``blockDim.x`` is a
-#: multiple of the warp size — the runtime guard the emitter adds)
-_WARP_VARYING_SPECIALS = frozenset({"tx", "tid"})
-
-
-def _warp_uniform_stmts(kernel) -> frozenset:
-    """ids of GLoads with a per-warp-uniform index in warp-uniform control.
-
-    The warp-level sibling of
-    :func:`~repro.gpu.executor_batched._lane_uniform_stmts`: a register
-    is warp-uniform when every assignment to it is of a warp-uniform
-    expression and not under warp-divergent control, so all lanes of a
-    warp always hold the same value.  Unlike the block-level verdict the
-    collection also requires warp-uniform *control* around the load —
-    the representative helper runs on partial region masks too, and
-    warp-uniform control is what makes every such mask constant within
-    each warp (whole warps on or off).  Both halves of the verdict
-    assume ``ty`` is warp-uniform, which holds exactly when
-    ``blockDim.x % warp_size == 0``; the generated code guards on that
-    at runtime and falls back to the per-lane helper.
-    """
-    varying: set[str] = set()
-
-    def is_varying(e) -> bool:
-        regs, specs = set(), set()
-        _walk_expr(e, regs, specs)
-        return bool(specs & _WARP_VARYING_SPECIALS) or bool(regs & varying)
-
-    def visit(stmts, div):
-        for s in stmts:
-            if isinstance(s, K.Assign):
-                if div or is_varying(s.value):
-                    varying.add(s.dst)
-            elif isinstance(s, (K.GLoad, K.SLoad, K.ShflDown)):
-                varying.add(s.dst)
-            elif isinstance(s, K.If):
-                d = div or is_varying(s.cond)
-                visit(s.then, d)
-                visit(s.orelse, d)
-            elif isinstance(s, (K.While, K.UniformWhile)):
-                visit(s.body, div or is_varying(s.cond))
-
-    while True:
-        before = len(varying)
-        visit(kernel.body, False)
-        if len(varying) == before:
-            break
-
-    out: set[int] = set()
-
-    def collect(stmts, div):
-        for s in stmts:
-            if isinstance(s, K.GLoad) and not div \
-                    and not is_varying(s.index):
-                out.add(id(s))
-            elif isinstance(s, K.If):
-                d = div or is_varying(s.cond)
-                collect(s.then, d)
-                collect(s.orelse, d)
-            elif isinstance(s, (K.While, K.UniformWhile)):
-                collect(s.body, div or is_varying(s.cond))
-
-    collect(kernel.body, False)
-    return frozenset(out)
-
-
 # --------------------------------------------------------------------------
-# runtime helpers (bound into the generated code's globals)
+# the generated code's globals: the shared block-axis runtime of
+# :mod:`repro.gpu.executor_batched` plus NumPy under short names
 # --------------------------------------------------------------------------
-
-def _bc(c: np.ndarray, shp) -> np.ndarray:
-    """Broadcast a condition/index array to the chunk shape."""
-    return c if c.shape == shp else np.broadcast_to(c, shp)
-
-
-def _fresh(v, shp) -> np.ndarray:
-    """Materialize an assigned value as a freshly-owned full-shape array.
-
-    Used when the RHS root may alias live storage (a register read, a
-    no-op cast, a constant): registers must stay uniquely owned so the
-    in-place masked ``copyto`` discipline can never write through an
-    alias.
-    """
-    v = np.asarray(v)
-    if v.shape != shp:
-        out = np.empty(shp, dtype=v.dtype)
-        out[...] = v
-        return out
-    return v.copy()
-
-
-def _full(v, shp) -> np.ndarray:
-    """Like :func:`_fresh` but for RHS roots that already produced a
-    fresh array (ufunc outputs): only materializes on a shape mismatch."""
-    v = np.asarray(v)
-    if v.shape != shp:
-        out = np.empty(shp, dtype=v.dtype)
-        out[...] = v
-        return out
-    return v
-
-
-def _massign(E, name: str, v, m: np.ndarray) -> None:
-    """Masked register assignment — ``executor._assign`` minus the
-    full-mask branch (the generated code dispatches that statically)."""
-    v = np.asarray(v)
-    reg = E.regs.get(name)
-    if reg is None or reg.dtype != v.dtype:
-        base = np.zeros(m.shape, dtype=v.dtype)
-        if reg is not None:  # dtype change: keep old values where inactive
-            np.copyto(base, reg, casting="unsafe")
-        E.regs[name] = base
-        reg = base
-    np.copyto(reg, v, where=m)
-
-
-def _cast(v, dt):
-    v = np.asarray(v)
-    if v.dtype == dt:
-        return v
-    return v.astype(dt)  # C-style truncation for float->int
-
-
-def _param(E, name: str):
-    try:
-        return E.params[name]
-    except KeyError:
-        raise SimulationError(
-            f"kernel parameter {name!r} not bound at launch") from None
-
-
-def _arow(attr, sid, execs, lanes, slots):
-    """Attribution row ``sid``, charged one execution of its statement."""
-    row = attr.row(sid)
-    row.execs += execs
-    row.lanes += lanes
-    row.warp_slots += slots
-    return row
-
-
-#: the memory counters an access's attribution row takes as deltas
-_MEM_COUNTERS = ("global_transactions", "l2_transactions", "global_bytes",
-                 "dram_bytes", "shared_accesses", "bank_conflict_extra")
-
-
-def _snap(st) -> tuple:
-    """The memory counters just before one access."""
-    return tuple(getattr(st, f) for f in _MEM_COUNTERS)
-
-
-def _attr_mem(row, st, before: tuple) -> None:
-    """Charge one access's memory-counter deltas to its attribution row."""
-    for f, b in zip(_MEM_COUNTERS, before):
-        setattr(row, f, getattr(row, f) + getattr(st, f) - b)
-
-
-def _act_of(idx: np.ndarray, m: np.ndarray, mi) -> np.ndarray:
-    """Active-lane gather of a (broadcast) chunk-shaped index/value."""
-    if idx.flags["C_CONTIGUOUS"]:
-        return idx.reshape(-1).take(mi)
-    return idx[m]
-
-
-def _wk(E, mi) -> np.ndarray:
-    """Block-qualified warp key of each active lane (the transaction and
-    bank counters group lanes by it; ``E.warpkey`` is C-contiguous)."""
-    w = E.warpkey.reshape(-1)
-    return w if mi is None else w.take(mi)
-
-
-def _lanes_of(col: np.ndarray, mi, n: int) -> np.ndarray:
-    """A per-row column (block id, shared-memory row) spread to the
-    active lanes — all ``n`` lanes of every row when ``mi`` is None."""
-    return np.repeat(col, n) if mi is None else col.take(mi // n)
-
-
-def _gload(E, name, buf, idx, m, mi, wk, bf, slot, check) -> None:
-    """Global load for one region; mirrors the batched ``do_gload`` /
-    ``GlobalMemory.load_batched`` pair (bounds, hazard check, gather,
-    transaction accounting) with the region gathers precomputed."""
-    gm = E.gmem
-    shp = m.shape
-    idx = np.asarray(idx)
-    if idx.shape != shp:
-        idx = np.broadcast_to(idx, shp)
-    act = idx.reshape(-1) if mi is None else _act_of(idx, m, mi)
-    if check is not None:
-        owners, maxread = check
-        ci = np.minimum(act, owners.size - 1)
-        own = owners[ci]
-        if ((own != -1) & (own > bf)).any():
-            raise _BatchHazard(buf.name)
-        maxread[ci] = np.maximum(bf, maxread[ci])
-    gm._check_bounds(buf, act)
-    vals = buf.data[act]
-    if E.acct is not None:
-        gm._count_transactions_batched(buf, act, wk, bf, E.acct,
-                                       reuse=(E.seg_cache, slot))
-    if mi is None:
-        E.regs[name] = vals.reshape(shp)
-    else:
-        reg = E.regs.get(name)
-        if reg is None or reg.dtype != vals.dtype:
-            base = np.zeros(shp, dtype=vals.dtype)
-            if reg is not None:
-                np.copyto(base, reg, casting="unsafe")
-            E.regs[name] = base
-            reg = base
-        reg.reshape(-1)[mi] = vals
-
-
-def _gload_u(E, name, buf, idx, m, mi, wk, bf, slot, check) -> None:
-    """Per-block-uniform global load (static lane-uniformity verdict).
-
-    With a full region mask, one representative per block stands in for
-    every lane — no per-lane index materialization at all.  Counter
-    parity with the generic path is exact: a uniform index gives one
-    segment per warp and one tagged segment per block either way (the
-    batched executor's ``reps`` fast path makes the same argument).  The
-    ``m`` array is passed to the transaction counter as ``act_idx``
-    because with a full mask the active-lane count *is* ``m.size`` — the
-    reps path only reads ``act_idx.size``.
-    """
-    if mi is not None:
-        _gload(E, name, buf, idx, m, mi, wk, bf, slot, check)
-        return
-    gm = E.gmem
-    shp = m.shape
-    idxb = np.asarray(idx)
-    if idxb.shape != shp:
-        idxb = np.broadcast_to(idxb, shp)
-    rep = idxb[:, 0]
-    rblk = E.block_ids
-    if check is not None:
-        owners, maxread = check
-        ci = np.minimum(rep, owners.size - 1)
-        own = owners[ci]
-        if ((own != -1) & (own > rblk)).any():
-            raise _BatchHazard(buf.name)
-        maxread[ci] = np.maximum(rblk, maxread[ci])
-    gm._check_bounds(buf, rep)
-    v = buf.data[rep]
-    if E.acct is not None:
-        gm._count_transactions_batched(buf, m, wk, None, E.acct,
-                                       reuse=(E.seg_cache, slot),
-                                       reps=(rep, rblk))
-    out = np.empty(shp, dtype=v.dtype)
-    out[...] = v[:, None]
-    E.regs[name] = out
-
-
-def _gload_w(E, name, buf, idxw, m, full, slot, check, ws) -> None:
-    """Per-warp-uniform global load (static verdict + runtime guard).
-
-    ``idxw`` was evaluated on warp-representative slices — one column
-    per warp — so no per-lane index array is ever materialized.  Only
-    reached when ``blockDim.x % warp_size == 0`` and the static
-    :func:`_warp_uniform_stmts` verdict holds: each warp's lanes share
-    one index value and the region mask is constant within each warp,
-    so active warps (and their first lanes) stand in for active lanes.
-    Counter parity with the per-lane path is exact — one segment per
-    active warp makes ``requests`` the active-warp count, the per-block
-    dedup collapses to the representatives, and the byte count uses the
-    true lane count (active warps x warp width); the hazard check and
-    the bounds check see the same index values in the same order.
-    """
-    gm = E.gmem
-    shp = m.shape
-    nb = shp[0]
-    nw = shp[1] // ws
-    idxw = np.asarray(idxw)
-    if idxw.shape != (nb, nw):
-        idxw = np.broadcast_to(idxw, (nb, nw))
-    if not idxw.flags["C_CONTIGUOUS"]:
-        idxw = np.ascontiguousarray(idxw)
-    if full:
-        rep = idxw.reshape(-1)
-        rblk = np.repeat(E.block_ids, nw)
-        lanes = m.size
-        miw = None
-    else:
-        miw = np.flatnonzero(np.ascontiguousarray(m[:, ::ws]).reshape(-1))
-        rep = idxw.reshape(-1).take(miw)
-        rblk = E.block_ids[miw // nw]
-        lanes = miw.size * ws
-    if check is not None:
-        owners, maxread = check
-        ci = np.minimum(rep, owners.size - 1)
-        own = owners[ci]
-        if ((own != -1) & (own > rblk)).any():
-            raise _BatchHazard(buf.name)
-        maxread[ci] = np.maximum(rblk, maxread[ci])
-    gm._check_bounds(buf, rep)
-    vals = buf.data[rep]
-    if E.acct is not None:
-        gm._count_transactions_batched(buf, rep, None, None, E.acct,
-                                       reuse=(E.seg_cache, slot),
-                                       wreps=(rblk, lanes))
-    if miw is None:
-        out = np.empty(shp, dtype=vals.dtype)
-        out.reshape(nb, nw, ws)[...] = vals.reshape(nb, nw)[:, :, None]
-        E.regs[name] = out
-    else:
-        reg = E.regs.get(name)
-        if reg is None or reg.dtype != vals.dtype:
-            base = np.zeros(shp, dtype=vals.dtype)
-            if reg is not None:
-                np.copyto(base, reg, casting="unsafe")
-            E.regs[name] = base
-            reg = base
-        reg.reshape(nb * nw, ws)[miw] = vals[:, None]
-
-
-def _gstore(E, buf, idx, val, m, mi, wk, bf, slot, check) -> None:
-    """Global store for one region; mirrors ``do_gstore`` /
-    ``store_batched`` (cast-then-gather value order, hazard claim before
-    bounds, duplicate indices resolve in flattened lane order)."""
-    gm = E.gmem
-    shp = m.shape
-    idx = np.asarray(idx)
-    if idx.shape != shp:
-        idx = np.broadcast_to(idx, shp)
-    act = idx.reshape(-1) if mi is None else _act_of(idx, m, mi)
-    if check is not None:
-        owners, maxread = check
-        ci = np.minimum(act, owners.size - 1)
-        own = owners[ci]
-        if ((own != -1) & (own != bf)).any():
-            raise _BatchHazard(buf.name)
-        if (maxread[ci] > bf).any():
-            raise _BatchHazard(buf.name)
-        owners[ci] = bf
-    gm._check_bounds(buf, act)
-    sv = np.asarray(val)
-    if sv.shape != shp:
-        sv = np.broadcast_to(sv, shp)
-    sv = np.asarray(sv, dtype=buf.dtype.np)
-    buf.data[act] = sv.reshape(-1) if mi is None else _act_of(sv, m, mi)
-    if E.acct is not None:
-        gm._count_transactions_batched(buf, act, wk, bf, E.acct,
-                                       reuse=(E.seg_cache, slot))
-
-
-def _sbounds(name: str, size: int, act: np.ndarray) -> None:
-    from repro.errors import OutOfBoundsError
-    if act.size and (act.min() < 0 or act.max() >= size):
-        bad = act[(act < 0) | (act >= size)][0]
-        raise OutOfBoundsError(
-            f"index {int(bad)} out of bounds for shared array "
-            f"{name!r} of size {size}"
-        )
-
-
-def _sload(E, name, arr, idx, m, mi, wk, rw) -> None:
-    """Shared load; mirrors ``BatchedSharedMemory.load`` with the region
-    gathers precomputed (bank accounting shared)."""
-    sm = E.smem
-    shp = m.shape
-    a = sm._arrays[arr]
-    idx = np.asarray(idx)
-    if idx.shape != shp:
-        idx = np.broadcast_to(idx, shp)
-    act = idx.reshape(-1) if mi is None else _act_of(idx, m, mi)
-    _sbounds(arr, a.shape[1], act)
-    vals = a[rw, act]
-    if sm.stats is not None:
-        sm._count_banks(arr, act, wk)
-    if mi is None:
-        E.regs[name] = vals.reshape(shp)
-    else:
-        reg = E.regs.get(name)
-        if reg is None or reg.dtype != vals.dtype:
-            base = np.zeros(shp, dtype=vals.dtype)
-            if reg is not None:
-                np.copyto(base, reg, casting="unsafe")
-            E.regs[name] = base
-            reg = base
-        reg.reshape(-1)[mi] = vals
-
-
-def _sstore(E, arr, idx, val, m, mi, wk, rw) -> None:
-    sm = E.smem
-    shp = m.shape
-    a = sm._arrays[arr]
-    idx = np.asarray(idx)
-    if idx.shape != shp:
-        idx = np.broadcast_to(idx, shp)
-    act = idx.reshape(-1) if mi is None else _act_of(idx, m, mi)
-    _sbounds(arr, a.shape[1], act)
-    sv = np.asarray(val)
-    if sv.shape != shp:
-        sv = np.broadcast_to(sv, shp)
-    sv = np.asarray(sv, dtype=a.dtype)
-    a[rw, act] = sv.reshape(-1) if mi is None else _act_of(sv, m, mi)
-    if sm.stats is not None:
-        sm._count_banks(arr, act, wk)
-
-
-def _shfl(E, dst, src, delta, ws, m, full) -> None:
-    try:
-        reg = E.regs[src]
-    except KeyError:
-        raise SimulationError(
-            f"register {src!r} read before assignment") from None
-    n = reg.shape[-1]
-    ar = np.arange(n)
-    lane = ar % ws
-    src_idx = np.where(lane + delta < ws, np.minimum(ar + delta, n - 1), ar)
-    v = reg[:, src_idx]
-    if full:
-        E.regs[dst] = v  # fancy gather: freshly owned
-    else:
-        _massign(E, dst, v, m)
-
-
-def _sync(E, m, aws, row) -> None:
-    """Barrier: the divergence check always runs; the counters only on
-    a counted launch (``aws`` is None on a values-only one)."""
-    anyb = m.any(axis=1)
-    allb = m.all(axis=1)
-    partial = anyb & ~allb
-    if partial.any():
-        bad = int(np.flatnonzero(partial)[0])
-        raise BarrierDivergenceError(
-            "__syncthreads() executed under divergent control flow "
-            f"({int(m[bad].sum())}/{m.shape[1]} threads active)"
-        )
-    if aws is None:
-        return
-    E.stats.barriers += int(anyb.sum())
-    E.stats.warp_inst_slots += aws
-    if row is not None:
-        arrived = int(anyb.sum())
-        row.execs += arrived
-        row.lanes += int(m.sum())
-        row.warp_slots += aws
-        row.barrier_arrivals += arrived
-        row.barrier_wait_slots += aws
-
 
 #: globals bound into every generated kernel function
 _BASE_GLOBALS = {
@@ -685,8 +210,8 @@ class _Emitter:
     def __init__(self, kernel: K.Kernel, device: DeviceProperties):
         self.kernel = kernel
         self.device = device
-        self.uniform_ids = _lane_uniform_stmts(kernel)
-        self.warp_ids = _warp_uniform_stmts(kernel)
+        self.uniform_ids = _uniform_stmts(kernel, "block")
+        self.warp_ids = _uniform_stmts(kernel, "warp")
         self.used_wok = False
         self.lines: list[str] = []
         self.ind = 1
@@ -732,7 +257,7 @@ class _Emitter:
                 return f"R[{e.name!r}][:, ::{int(self.device.warp_size)}]"
             return f"R[{e.name!r}]"
         if isinstance(e, K.Special):
-            if rep and e.kind in _WARP_VARYING_SPECIALS:
+            if rep and e.kind in _UNIFORMITY["warp"][0]:
                 raise SimulationError(
                     f"special {e.kind!r} in a warp-representative "
                     "expression (analysis bug)")
@@ -1227,55 +752,23 @@ def run_trace(ck, gmem: GlobalMemory, grid_dim: int,
               block_dim: tuple[int, int], stats: KernelStats,
               params: dict, budget: float, block_batch: int | None,
               check: dict | None = None, count: bool = True) -> KernelStats:
-    """Execute a validated trace-mode launch over block chunks.
-
-    Mirrors :func:`~repro.gpu.executor_batched.run_batched`'s chunk
-    discipline exactly (per-launch ``steps`` and segment-reuse state
-    carry across chunks; checked-hazard state resets at chunk
-    boundaries; the cross-block reuse correction runs once at launch
-    end) so results and counters are invariant under ``block_batch``.
-    Faults, stuck-warp mode, and TraceEvent collection never reach this
-    driver — :meth:`~repro.gpu.executor.CompiledKernel.effective_mode`
-    demotes those launches to the batched path.  ``count=False`` (a
-    counter-memo hit) executes values only, as in ``run_batched``.
-    """
-    bdx, bdy = block_dim
-    chunk = int(block_batch) if block_batch and block_batch > 0 \
-        else DEFAULT_BLOCK_BATCH
+    """Execute a validated trace-mode launch: the generated chunk
+    function over the shared chunk driver
+    (:func:`~repro.gpu.executor_batched._run_chunks`), so results and
+    counters are invariant under ``block_batch`` exactly as in
+    ``run_batched``.  Faults, stuck-warp mode, and TraceEvent collection
+    never reach this driver —
+    :meth:`~repro.gpu.executor.CompiledKernel.effective_mode` demotes
+    those launches to the batched path.  ``count=False`` (a counter-memo
+    hit) executes values only."""
     fn = ck._trace_callable()
-    acct = stats if count else None
-    seg_cache: dict = {}
-    steps = 0
-    for start in range(0, grid_dim, chunk):
-        ids = np.arange(start, min(start + chunk, grid_dim),
-                        dtype=np.int64)
-        env = BatchedBlockEnv(bdx, bdy, grid_dim, ids, gmem, stats,
-                              params, ck.device.warp_size, False)
-        env.smem = BatchedSharedMemory(
-            ck.device, ck.kernel.shared, acct, len(ids),
-            faults=None, block_ids=ids)
-        env.acct = acct
-        env.seg_cache = seg_cache
-        env.kernel_name = ck.kernel.name
-        env.steps = steps
-        env.watchdog_budget = budget
-        env.check = check
-        env.attr = stats.attribution
+
+    def body(env):
         try:
             fn(env)
         except KeyError as e:  # register read before assignment
             raise SimulationError(
                 f"register {e.args[0]!r} read before assignment") from None
-        steps = env.steps
-        if check is not None and start + chunk < grid_dim:
-            # chunk boundary: earlier chunks are complete and every
-            # later block outranks them — reset the hazard state
-            for owners, maxread in check.values():
-                owners.fill(-1)
-                maxread.fill(-1)
-    if count:
-        finalize_segment_reuse(seg_cache, stats,
-                               ck.device.transaction_bytes,
-                               attr=stats.attribution,
-                               slot_sids=ck._trace_slot_sids)
-    return stats
+
+    return _run_chunks(ck, gmem, grid_dim, block_dim, stats, params, budget,
+                       block_batch, check, count, body, ck._trace_slot_sids)

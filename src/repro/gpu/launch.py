@@ -59,11 +59,6 @@ def _cache_max() -> int:
         return _COMPILE_CACHE_DEFAULT_MAX
 
 
-# kept for importers of the historical constant (tests, tooling); the
-# live bound is _cache_max()
-_COMPILE_CACHE_MAX = _COMPILE_CACHE_DEFAULT_MAX
-
-
 def _sid_fingerprint(kernel: Kernel) -> tuple[int, ...]:
     return tuple(s.sid for s, _ in walk_stmts(kernel.body))
 

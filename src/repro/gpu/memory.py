@@ -227,77 +227,7 @@ class GlobalMemory:
         stats.global_bytes += int(act_idx.size) * buf.dtype.itemsize
         stats.dram_bytes += dram * self.device.transaction_bytes
 
-    # -- batched access (all blocks of a chunk advance in one call) ---------
-
-    def load_batched(self, name: str, idx: np.ndarray, mask: np.ndarray,
-                     warpkey: np.ndarray, block_of: np.ndarray,
-                     block_ids: np.ndarray, stats: KernelStats,
-                     reuse: tuple | None = None,
-                     act: np.ndarray | None = None,
-                     act_block: np.ndarray | None = None,
-                     reps: tuple | None = None) -> np.ndarray:
-        """Gather ``buffer[idx]`` for all active lanes of a block chunk.
-
-        ``idx``/``mask`` are ``(blocks, threads)``; ``warpkey`` is an
-        int64 ``(blocks, threads)`` array of block-qualified warp ids
-        (distinct across the chunk's blocks), ``block_of`` the absolute
-        block index per lane, ``block_ids`` the chunk's absolute block
-        indices.  Counter totals are bit-identical to executing each
-        block's access through :meth:`load` in block order.  ``act`` /
-        ``act_block`` let a caller that already gathered ``idx[mask]`` /
-        ``block_of[mask]`` (the checked executor path) avoid the second
-        masked gather.  ``reps`` — ``(rep, rblk)`` per-block
-        representative indices for statically per-block-uniform accesses
-        — lets transaction counting skip the per-lane key construction
-        entirely (see :meth:`_count_transactions_batched`).
-        ``stats=None`` (a counter-memo hit) moves the data and counts
-        nothing.
-        """
-        buf = self[name]
-        if act is None:
-            act = idx[mask]
-        out = np.zeros(idx.shape, dtype=buf.dtype.np)
-        if act.size:
-            self._check_bounds(buf, act)
-            out[mask] = buf.data[act]
-            if stats is not None:
-                if act_block is None and reps is None:
-                    act_block = block_of[mask]
-                self._count_transactions_batched(
-                    buf, act, warpkey[mask], act_block, stats, reuse, reps)
-            if self.faults is not None:
-                for i in np.flatnonzero(mask.any(axis=1)):
-                    self.faults.on_gload(name, out[i], mask[i],
-                                         block=int(block_ids[i]))
-        return out
-
-    def store_batched(self, name: str, idx: np.ndarray, values: np.ndarray,
-                      mask: np.ndarray, warpkey: np.ndarray,
-                      block_of: np.ndarray, stats: KernelStats,
-                      reuse: tuple | None = None,
-                      act: np.ndarray | None = None,
-                      act_block: np.ndarray | None = None,
-                      reps: tuple | None = None) -> None:
-        """Scatter ``buffer[idx] = values`` for a block chunk.
-
-        Duplicate indices resolve exactly as the reference path: NumPy
-        fancy assignment applies positions in (block, thread) order, so
-        the highest (block, thread) wins — the same winner as blocks
-        executed one at a time.  ``stats=None`` counts nothing.
-        """
-        buf = self[name]
-        if act is None:
-            act = idx[mask]
-        if not act.size:
-            return
-        self._check_bounds(buf, act)
-        buf.data[act] = np.asarray(values, dtype=buf.dtype.np)[mask]
-        if stats is None:
-            return
-        if act_block is None and reps is None:
-            act_block = block_of[mask]
-        self._count_transactions_batched(buf, act, warpkey[mask],
-                                         act_block, stats, reuse, reps)
+    # -- block-axis accounting (all blocks of a chunk in one call) --------
 
     def _count_transactions_batched(self, buf: Buffer, act_idx: np.ndarray,
                                     act_warpkey: np.ndarray,
@@ -323,18 +253,19 @@ class GlobalMemory:
 
         ``reps`` — ``(rep, rblk)``, one representative index and block id
         per active block — asserts the index is per-block uniform (the
-        static :func:`~repro.gpu.executor_batched._lane_uniform_stmts`
-        verdict).  Every lane of a block then touches the one segment its
-        representative touches, so warp requests collapse to the distinct
-        warp keys and the per-lane key construction below is skipped —
-        the dominant cost of broadcast-heavy kernels.
+        static ``"block"`` verdict of
+        :func:`~repro.gpu.executor_batched._uniform_stmts`).  Every lane
+        of a block then touches the one segment its representative
+        touches, so warp requests collapse to the distinct warp keys and
+        the per-lane key construction below is skipped — the dominant
+        cost of broadcast-heavy kernels.
 
         ``wreps`` — ``(rblk, lanes)``; ``act_idx`` then holds one
         representative index per *active warp* (in lane order), ``rblk``
         the block id of each, and ``lanes`` the true active-lane count.
         Asserts the index is per-warp uniform under a warp-uniform mask
-        (the static :func:`~repro.gpu.executor_trace._warp_uniform_stmts`
-        verdict plus the ``blockDim.x % warp_size == 0`` launch guard).
+        (the static ``"warp"`` verdict of the same analysis plus the
+        ``blockDim.x % warp_size == 0`` launch guard).
         One segment per warp and one rep per warp make ``requests`` the
         rep count outright, the block-tagged dedup collapses to the reps
         (every lane of a warp touches its rep's segment), and the byte
@@ -684,73 +615,22 @@ class BatchedSharedMemory(SharedMemory):
     """Shared memory for a chunk of blocks advancing together.
 
     Each named array is carried as a ``(blocks, size)`` matrix — one row
-    per block of the chunk, so cross-block isolation is structural.  Bank
-    accounting reuses :meth:`SharedMemory._count_banks` with
-    block-qualified warp keys: per-(block, warp) conflict degrees are
-    computed exactly as the per-block model and summed.  Constructed with
-    ``stats=None`` (a counter-memo hit) it moves data and counts nothing.
+    per block of the chunk, so cross-block isolation is structural.  The
+    block-axis access helpers of :mod:`repro.gpu.executor_batched` read
+    and write the rows and count banks through
+    :meth:`SharedMemory._count_banks` with block-qualified warp keys:
+    per-(block, warp) conflict degrees are computed exactly as the
+    per-block model and summed.  Constructed with ``stats=None`` (a
+    counter-memo hit) it counts nothing.
     """
 
     def __init__(self, device: DeviceProperties, specs: tuple,
-                 stats: KernelStats | None, nblocks: int, faults=None,
-                 block_ids: np.ndarray | None = None):
-        super().__init__(device, specs, stats, faults=faults)
-        self.nblocks = nblocks
-        self.block_ids = block_ids  # absolute block index per row
+                 stats: KernelStats | None, nblocks: int):
+        super().__init__(device, specs, stats)
         for name, arr in self._arrays.items():
             self._arrays[name] = np.zeros((nblocks, arr.size),
                                           dtype=arr.dtype)
 
-    def load(self, name: str, idx: np.ndarray, mask: np.ndarray,
-             warpkey: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Gather with ``(blocks, threads)`` index/mask arrays.
-
-        ``warpkey`` holds block-qualified warp ids, ``rows`` the chunk row
-        index per lane.
-        """
-        arr = self._array2(name, idx, mask)
-        out = np.zeros(idx.shape, dtype=arr.dtype)
-        act = idx[mask]
-        if act.size:
-            out[mask] = arr[rows[mask], act]
-            if self.stats is not None:
-                self._count_banks(name, act, warpkey[mask])
-            if self.faults is not None:
-                # the executor may pass row-compacted arrays: mask row i
-                # maps to chunk row rows[i, 0], which indexes block_ids
-                ids = self.block_ids
-                for i in np.flatnonzero(mask.any(axis=1)):
-                    b = int(ids[rows[i, 0]]) if ids is not None else None
-                    self.faults.on_sload(name, out[i], mask[i], block=b)
-        return out
-
-    def store(self, name: str, idx: np.ndarray, values: np.ndarray,
-              mask: np.ndarray, warpkey: np.ndarray,
-              rows: np.ndarray) -> None:
-        arr = self._array2(name, idx, mask)
-        act = idx[mask]
-        if not act.size:
-            return
-        arr[rows[mask], act] = np.asarray(values, dtype=arr.dtype)[mask]
-        if self.stats is not None:
-            self._count_banks(name, act, warpkey[mask])
-
     def read_block(self, name: str, row: int) -> np.ndarray:
         """One block's view of a shared array (tests/debugging)."""
         return self._arrays[name][row]
-
-    def _array2(self, name: str, idx: np.ndarray,
-                mask: np.ndarray) -> np.ndarray:
-        try:
-            arr = self._arrays[name]
-        except KeyError:
-            raise OutOfBoundsError(f"no such shared array {name!r}") from None
-        act = idx[mask]
-        size = arr.shape[1]
-        if act.size and (act.min() < 0 or act.max() >= size):
-            bad = act[(act < 0) | (act >= size)][0]
-            raise OutOfBoundsError(
-                f"index {int(bad)} out of bounds for shared array "
-                f"{name!r} of size {size}"
-            )
-        return arr

@@ -27,17 +27,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
-__all__ = ["Counter", "Gauge", "Histogram", "INSTRUMENT_ALIASES",
-           "MetricsRegistry"]
-
-#: migration shim for renamed instruments.  The serve layer's latency
-#: histograms moved into the ``serve.latency.*`` namespace so they can
-#: never collide with testsuite-runner histograms sharing a registry;
-#: the old name keeps resolving to the same instrument so dashboards
-#: and callers migrate at their own pace.
-INSTRUMENT_ALIASES = {
-    "serve.latency_us": "serve.latency.all_us",
-}
+__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
 
 
 def _lock_field():
@@ -105,21 +95,18 @@ class MetricsRegistry:
     _lock: threading.Lock = _lock_field()
 
     def counter(self, name: str) -> Counter:
-        name = INSTRUMENT_ALIASES.get(name, name)
         with self._lock:
             if name not in self.counters:
                 self.counters[name] = Counter(name)
             return self.counters[name]
 
     def gauge(self, name: str) -> Gauge:
-        name = INSTRUMENT_ALIASES.get(name, name)
         with self._lock:
             if name not in self.gauges:
                 self.gauges[name] = Gauge(name)
             return self.gauges[name]
 
     def histogram(self, name: str) -> Histogram:
-        name = INSTRUMENT_ALIASES.get(name, name)
         with self._lock:
             if name not in self.histograms:
                 self.histograms[name] = Histogram(name)

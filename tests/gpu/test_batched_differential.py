@@ -68,21 +68,80 @@ class TestFaultDifferential:
     PLAN = FaultPlan(seed=1234, p_gload_flip=0.05, p_sload_flip=0.05,
                      max_faults=None)
 
+    #: a triangular loop nest: gang ``j`` sums ``j * 40`` elements, so
+    #: most blocks leave the inner loop early and the batched loop
+    #: compacts its rows (``_compact_env`` slices ``block_ids``)
+    TRIANGLE_SRC = """
+float a[n];
+float out[m];
+#pragma acc parallel copyin(a) copyout(out)
+{
+  #pragma acc loop gang
+  for (j = 0; j < m; j++) {
+    float s = 0.0f;
+    #pragma acc loop vector reduction(+:s)
+    for (k = 0; k < j * 40; k++)
+      s += a[k];
+    out[j] = s;
+  }
+}
+"""
+
+    def _faulted(self, prog, inputs, mode, block_batch=None):
+        inj = FaultInjector(self.PLAN)
+        res = prog.run(executor_mode=mode, faults=inj,
+                       block_batch=block_batch, attribution=True, **inputs)
+        records = sorted((r.site, r.kind, tuple(sorted(r.detail.items())))
+                         for r in inj.records)
+        events = {name: {sid: row["fault_events"] for sid, row
+                         in st.attribution.as_dict().items()}
+                  for name, st in res.kernel_stats.items()}
+        return res, records, events
+
+    def _assert_faulted_identical(self, prog, inputs) -> set:
+        """The executors an armed batched request ran on (kernels with
+        runtime-checked buffers demote to the reference executor, whose
+        fault RNG draws a checked attempt could not roll back)."""
+        ref, ref_records, ref_events = self._faulted(prog, inputs,
+                                                     "reference")
+        assert ref_records, "plan injected nothing — dead test"
+        assert sum(n for rows in ref_events.values()
+                   for n in rows.values()) == len(ref_records)
+        for bb in (1, 3, None):
+            res, records, events = self._faulted(prog, inputs, "batched",
+                                                 bb)
+            assert records == ref_records, bb
+            assert events == ref_events, bb
+            assert_identical(res, ref)
+        return {st.executor for st in res.kernel_stats.values()}
+
     @pytest.mark.parametrize("position",
-                             ["gang", "worker vector",
+                             ["gang", "vector", "worker vector",
                               "gang worker vector"])
     def test_faulted_runs_identical(self, position):
         case = make_case(position, "+", "float", size=160)
-        results, records = {}, {}
-        for mode in ("batched", "reference"):
-            inj = FaultInjector(self.PLAN)
-            results[mode] = run_case_mode(case, mode, faults=inj)
-            records[mode] = sorted(
-                (r.site, r.kind, tuple(sorted(r.detail.items())))
-                for r in inj.records)
-        assert records["batched"] == records["reference"]
-        assert records["batched"], "plan injected nothing — dead test"
-        assert_identical(results["batched"], results["reference"])
+        prog = acc.compile(case.source, **GEOM)
+        self._assert_faulted_identical(
+            prog, case.make_inputs(np.random.default_rng(42)))
+
+    def test_faulted_compacted_loop_identical(self, monkeypatch):
+        from repro.gpu import executor_batched
+
+        sliced = []
+        real = executor_batched._compact_env
+
+        def compact(env, idx):
+            sliced.append(len(idx))
+            return real(env, idx)
+
+        monkeypatch.setattr(executor_batched, "_compact_env", compact)
+        prog = acc.compile(self.TRIANGLE_SRC, num_gangs=16, num_workers=1,
+                           vector_length=32)
+        a = np.random.default_rng(7).random(700).astype(np.float32)
+        ran = self._assert_faulted_identical(
+            prog, dict(a=a, out=np.zeros(16, np.float32), m=16))
+        assert ran == {"batched"}
+        assert sliced, "no loop compacted its rows — dead test"
 
 
 class TestGoldenWorkerVector:

@@ -6,7 +6,7 @@ from repro.dtypes import DType
 from repro.gpu import GlobalMemory, K20C, launch
 from repro.gpu.kernelir import Bin, GStore, Kernel, Special
 from repro.gpu.launch import (
-    _COMPILE_CACHE_MAX, compile_cache_clear, compile_cache_info,
+    _COMPILE_CACHE_DEFAULT_MAX, compile_cache_clear, compile_cache_info,
 )
 
 
@@ -57,12 +57,12 @@ class TestCompileCache:
         assert info["size"] == 2
 
     def test_eviction_keeps_cache_bounded(self):
-        for i in range(_COMPILE_CACHE_MAX + 8):
+        for i in range(_COMPILE_CACHE_DEFAULT_MAX + 8):
             launch(ids_kernel(f"k{i}"), _gmem(), grid_dim=1,
                    block_dim=(32, 1))
         info = compile_cache_info()
-        assert info["size"] == _COMPILE_CACHE_MAX
-        assert info["misses"] == _COMPILE_CACHE_MAX + 8
+        assert info["size"] == _COMPILE_CACHE_DEFAULT_MAX
+        assert info["misses"] == _COMPILE_CACHE_DEFAULT_MAX + 8
         assert info["evictions"] == 8
 
     def test_env_cap_bounds_cache(self, monkeypatch):
@@ -82,7 +82,7 @@ class TestCompileCache:
 
     def test_env_cap_garbage_falls_back_to_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_LAUNCH_CACHE_MAX", "not-a-number")
-        assert compile_cache_info()["maxsize"] == _COMPILE_CACHE_MAX
+        assert compile_cache_info()["maxsize"] == _COMPILE_CACHE_DEFAULT_MAX
         monkeypatch.setenv("REPRO_LAUNCH_CACHE_MAX", "0")
         assert compile_cache_info()["maxsize"] == 1  # clamps to >= 1
 
@@ -203,5 +203,5 @@ class TestCompileCache:
         compile_cache_clear()
         assert compile_cache_info() == {
             "hits": 0, "misses": 0, "evictions": 0, "size": 0,
-            "maxsize": _COMPILE_CACHE_MAX,
+            "maxsize": _COMPILE_CACHE_DEFAULT_MAX,
         }

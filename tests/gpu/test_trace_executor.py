@@ -14,6 +14,8 @@ cannot.
 """
 
 import dataclasses
+import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,13 +25,14 @@ from repro.dtypes import DType
 from repro.errors import WatchdogTimeoutError
 from repro.faults import FaultInjector, FaultPlan
 from repro.gpu import GlobalMemory, K20C
+from repro.gpu import kernelir as K
 from repro.gpu.executor import CompiledKernel
 from repro.gpu.executor_trace import (
     analyze_trace_safety, compile_trace_source, emit_trace_source,
 )
 from repro.gpu.kernelir import (
-    AtomicUpdate, Bin, Const, GLoad, GStore, Kernel, Reg, Special,
-    stamp_sids,
+    AtomicUpdate, Bin, Const, GLoad, GStore, If, Kernel, Reg, ShflDown,
+    Special, stamp_sids,
 )
 from repro.obs import timeline
 from repro.testsuite.cases import generate_cases
@@ -91,6 +94,30 @@ class TestBitIdentity:
         out = _run_all_modes(prog, inputs)
         for mode in MODES[1:]:
             assert out[mode] == out["reference"], mode
+
+    def test_partial_load_after_full_mask_shuffle(self):
+        # a full-mask shuffle binds NumPy's column gather, which is not
+        # C-contiguous; a later partial-mask load into the same register
+        # must land in it, not in a reshaped copy
+        k = stamp_sids(Kernel("shfl_then_load", (
+            GLoad("x", "src", Special("tid")),
+            ShflDown("x", "x", 1),
+            If(Bin("<", Special("tid"), Const(16, DType.INT)),
+               (GLoad("x", "src",
+                      Bin("+", Special("tid"), Const(100, DType.INT))),)),
+            GStore("out", Bin("+", Bin("*", Special("bx"), Special("ntid")),
+                              Special("tid")), Reg("x")),
+        ), buffers=("src", "out")))
+        out = {}
+        for mode in MODES:
+            g = GlobalMemory(K20C)
+            g.alloc("src", 256, DType.FLOAT,
+                    init=np.arange(256, dtype=np.float32))
+            g.alloc("out", 128, DType.FLOAT)
+            CompiledKernel(k, K20C).run(g, 2, (64, 1), mode=mode)
+            out[mode] = g["out"].data.tobytes()
+        assert out["batched"] == out["reference"]
+        assert out["trace"] == out["reference"]
 
     def test_trace_respects_block_batch_chunking(self):
         prog = acc.compile(_SUM_SRC, num_gangs=8, num_workers=2,
@@ -253,3 +280,88 @@ class TestCheckedFallback:
         a = np.ones(1 << 14, np.float32)
         with pytest.raises(WatchdogTimeoutError):
             prog.run(executor_mode="trace", watchdog_budget=2, a=a)
+
+
+# --------------------------------------------------------------------------
+# uniformity and eligibility verdicts, pinned by hash
+# --------------------------------------------------------------------------
+
+#: the Table 2 grid's geometry; the apps whose loop nests need one
+#: worker (heat's error reduction spans gang and vector) run at 192×1×128
+PIN_GEOM = dict(num_gangs=192, num_workers=8, vector_length=128)
+_ONE_WORKER = dict(PIN_GEOM, num_workers=1)
+
+#: (kernels, sha256 of the sorted ``(kernel, level, sids)`` verdicts)
+UNIFORMITY_PIN = (50, "4b131fd8444cbafd6a841f168ec9cdb4"
+                      "faf4702aba89d2cd585a0d2bba920654")
+
+#: (kernels, sha256 of the per-kernel ``trace-codegen`` reports)
+TRACE_REPORT_PIN = (50, "f0234f6283c02bb1efee9723f2ee1d12"
+                        "969107ea79fbe9d7e95a7cdf6f14c365")
+
+
+def _pin_corpus() -> list[tuple[str, str, dict]]:
+    """``(label, source, geometry)``: the 42 Table 2 cells, both heat
+    kernels, matmul, pi, softmax and an int ``segmented_reduce``."""
+    from repro.apps.heat2d import ERROR_SRC, UPDATE_SRC
+    from repro.apps.matmul import MATMUL_SRC
+    from repro.apps.montecarlo_pi import PI_SRC
+    from repro.apps.softmax import SOFTMAX_SRC
+
+    segmented = ("int vals[n];\nint segs[n];\nint out[k];\n"
+                 "#pragma acc parallel copyin(vals, segs) copy(out)\n"
+                 "#pragma acc loop gang worker vector\n"
+                 "for (i = 0; i < n; i++) {\n"
+                 "  #pragma acc atomic update\n"
+                 "  out[segs[i]] += vals[i];\n"
+                 "}\n")
+    out = [(c.label, c.source, PIN_GEOM) for c in generate_cases(size=4096)]
+    out += [("heat-update", UPDATE_SRC, _ONE_WORKER),
+            ("heat-error", ERROR_SRC, _ONE_WORKER),
+            ("matmul", MATMUL_SRC, PIN_GEOM),
+            ("pi", PI_SRC, _ONE_WORKER),
+            ("softmax", SOFTMAX_SRC, _ONE_WORKER),
+            ("segmented", segmented, _ONE_WORKER)]
+    return out
+
+
+def _uniform_verdicts(kernel) -> dict:
+    """level -> the ids of the statements the uniformity analysis
+    proves uniform at that level."""
+    from repro.gpu.executor_batched import _uniform_stmts
+    return {level: _uniform_stmts(kernel, level)
+            for level in ("block", "warp")}
+
+
+class TestVerdictPins:
+    """The per-block and per-warp uniformity verdicts pick the fast
+    paths of both executors, and the eligibility verdict picks the
+    executor; a rewrite of either analysis must reproduce them."""
+
+    @pytest.fixture(scope="class")
+    def kernels(self):
+        out = []
+        for label, source, geom in _pin_corpus():
+            # the pipeline is pinned too: REPRO_PASSES must not move it
+            prog = acc.compile(source, pipeline="optimized", **geom)
+            out += [(f"{label}:{k.name}", k) for k in prog.lowered.kernels]
+        return out
+
+    def test_uniformity_verdicts_pinned(self, kernels):
+        rows = []
+        for name, kernel in kernels:
+            for level, ids in _uniform_verdicts(kernel).items():
+                sids = sorted(s.sid for s, _ in K.walk_stmts(kernel.body)
+                              if id(s) in ids)
+                rows.append((name, level, tuple(sids)))
+        assert any(sids for _, level, sids in rows if level == "warp")
+        digest = hashlib.sha256(repr(sorted(rows)).encode()).hexdigest()
+        assert (len(kernels), digest) == UNIFORMITY_PIN
+
+    def test_trace_codegen_report_pinned(self, kernels):
+        from repro.passes.tracegen import trace_codegen
+
+        report = [trace_codegen(SimpleNamespace(
+            lowered=SimpleNamespace(kernels=[k]))) for _, k in kernels]
+        digest = hashlib.sha256("\n".join(report).encode()).hexdigest()
+        assert (len(kernels), digest) == TRACE_REPORT_PIN

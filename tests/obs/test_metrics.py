@@ -69,32 +69,6 @@ class TestRegistry:
         assert "lat" in text and "n=1" in text
 
 
-class TestInstrumentAliases:
-    """The ``serve.latency.*`` namespacing migration: the old flat
-    ``serve.latency_us`` name must keep resolving — reads and writes —
-    to the canonical namespaced instrument, not fork a second one."""
-
-    def test_legacy_name_resolves_to_namespaced_histogram(self):
-        reg = MetricsRegistry()
-        legacy = reg.histogram("serve.latency_us")
-        canonical = reg.histogram("serve.latency.all_us")
-        assert legacy is canonical
-        legacy.observe(10.0)
-        canonical.observe(30.0)
-        assert canonical.count == 2
-        # the snapshot carries only the canonical name
-        d = reg.to_dict()
-        assert "serve.latency.all_us" in d["histograms"]
-        assert "serve.latency_us" not in d["histograms"]
-
-    def test_alias_applies_to_every_instrument_kind(self):
-        reg = MetricsRegistry()
-        assert reg.counter("serve.latency_us") \
-            is reg.counter("serve.latency.all_us")
-        assert reg.gauge("serve.latency_us") \
-            is reg.gauge("serve.latency.all_us")
-
-
 class TestConcurrency:
     """The registry is shared by every emitter of a run: counts must be
     exact under concurrent increments, not approximately right."""

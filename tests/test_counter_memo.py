@@ -645,7 +645,7 @@ def test_tiered_hit_counts_nothing(monkeypatch):
                               executor_batched._warps_per_block))
     for owner, name in ((GlobalMemory, "_count_transactions_batched"),
                         (SharedMemory, "_count_banks"),
-                        (executor_trace, "finalize_segment_reuse")):
+                        (executor_batched, "finalize_segment_reuse")):
         monkeypatch.setattr(owner, name, guard(name, getattr(owner, name)))
     forbid[0] = True
     fresh = case.make_inputs(np.random.default_rng(2))
