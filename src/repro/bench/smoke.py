@@ -20,9 +20,11 @@ The ``counter_memo`` section is an identity check, not a timing: on
 each ``table2_quick`` cell, under ``batched``, ``trace`` and the default
 mode, a repeated launch must hit the counter memo and return exactly the
 counters, modeled ms and results of a counted launch; default-mode hits
-of trace-eligible cells must run ``trace``.  A default-mode re-launch at
-a new problem size must count, run ``trace`` on trace-eligible cells and
-equal a counted launch of a freshly compiled program.
+of trace-eligible cells must run ``trace``; every hit, being at the
+chunk size of its counted launch, must run no hazard or bounds check.  A
+default-mode re-launch at a new problem size must count, run ``trace``
+on trace-eligible cells and equal a counted launch of a freshly compiled
+program.
 
 Usage::
 
@@ -41,6 +43,7 @@ at all.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -219,6 +222,35 @@ def _same_run(got, want) -> bool:
                     for n, v in want.scalars.items()))
 
 
+@contextlib.contextmanager
+def _counting_checks():
+    """Count the hazard and bounds checks the block-axis runtime runs
+    while the block is active (``calls[0]``)."""
+    from repro.gpu import executor_batched
+    from repro.gpu.memory import GlobalMemory
+
+    calls = [0]
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[0] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    saved = {name: getattr(executor_batched, name)
+             for name in ("_check_read", "_check_write", "_sbounds")}
+    bounds = GlobalMemory.__dict__["_check_bounds"]
+    try:
+        for name, fn in saved.items():
+            setattr(executor_batched, name, counted(fn))
+        GlobalMemory._check_bounds = staticmethod(counted(bounds.__func__))
+        yield calls
+    finally:
+        for name, fn in saved.items():
+            setattr(executor_batched, name, fn)
+        GlobalMemory._check_bounds = bounds
+
+
 def _counter_memo_guard() -> dict:
     """Counter-memo identity on the ``table2_quick`` cells (not timed).
 
@@ -228,7 +260,10 @@ def _counter_memo_guard() -> dict:
     from the counter memo and return the same KernelStats, modeled ms
     and result bytes as a counted launch of a freshly compiled program.
     A default-mode hit of a trace-eligible cell must also run ``trace``
-    (the tiered default) unless ``REPRO_EXECUTOR`` pins the mode.
+    (the tiered default) unless ``REPRO_EXECUTOR`` pins the mode.  Every
+    hit runs at the chunk size of its counted launch, so it must be
+    trusted (``checks="proven"`` on every ``executor-mode`` event) and
+    run no hazard or bounds check (``checks_run``).
 
     Per cell, a default-mode re-launch of the warm program at a second
     problem size (a memo miss) must count, run ``trace`` under the same
@@ -236,6 +271,7 @@ def _counter_memo_guard() -> dict:
     """
     from repro import acc
     from repro.gpu.executor import _env_mode
+    from repro.obs import timeline
     from repro.testsuite.cases import POSITIONS, generate_cases
 
     cases = generate_cases(positions=POSITIONS, ops=("+",),
@@ -254,7 +290,8 @@ def _counter_memo_guard() -> dict:
         for mode in ("batched", "trace", None):
             warm.run(executor_mode=mode,
                      **case.make_inputs(np.random.default_rng(42)))
-            hit = warm.run(executor_mode=mode, **fresh)
+            with timeline.enabled() as tl, _counting_checks() as checks:
+                hit = warm.run(executor_mode=mode, **fresh)
             # the memo is shared across modes: only a fresh program
             # counts under every mode
             counted = acc.compile(case.source, **geom).run(
@@ -264,6 +301,10 @@ def _counter_memo_guard() -> dict:
                 "memo_hit": all(st.counters == "memo"
                                 for st in hit.kernel_stats.values()),
                 "identical": _same_run(hit, counted),
+                "trusted": all(e.attrs["checks"] == "proven"
+                               for e in tl.events("gpu", "decision")
+                               if e.name == "executor-mode"),
+                "checks_run": checks[0],
             }
             if mode is None:
                 row["executor"] = sorted({st.executor for st in
@@ -613,6 +654,15 @@ def check_against_baseline(current: dict, baseline: dict,
                 failures.append(
                     f"counter_memo: {row['config']}: a default-mode memo "
                     f"hit ran {'/'.join(row['executor'])}, not trace")
+            if not row["trusted"]:
+                failures.append(
+                    f"counter_memo: {row['config']}: a memo hit at its "
+                    "proven chunk size was not trusted")
+            if row["checks_run"]:
+                failures.append(
+                    f"counter_memo: {row['config']}: a memo hit at its "
+                    f"proven chunk size ran {row['checks_run']} hazard "
+                    "or bounds check(s)")
         for row in cm.get("relaunch", ()):
             if not row["counted"]:
                 failures.append(
@@ -724,7 +774,9 @@ def main(argv=None) -> int:
           f"(gate: {te['min_rows_ge_10x']})", file=sys.stderr)
     cm = doc["counter_memo"]
     print(f"  counter memo: {sum(r['memo_hit'] for r in cm['cells'])}/"
-          f"{len(cm['cells'])} hits, identical={cm['all_identical']}; "
+          f"{len(cm['cells'])} hits, identical={cm['all_identical']}, "
+          f"trusted {sum(r['trusted'] for r in cm['cells'])}/"
+          f"{len(cm['cells'])}; "
           f"re-launches counted "
           f"{sum(r['counted'] for r in cm['relaunch'])}/"
           f"{len(cm['relaunch'])}, identical "

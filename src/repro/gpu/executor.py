@@ -31,7 +31,8 @@ Counter memo: when the static analysis proves a kernel's counters
 data-independent, a ``trace`` or ``batched`` launch whose shape
 (geometry, the params that reach a condition or an index, and the
 buffer layout) matches an earlier counted launch of either mode runs
-values only and returns a copy of that launch's
+values only, without the bounds and hazard checks that launch passed,
+and returns a copy of that launch's
 :class:`~repro.gpu.events.KernelStats`.  The reference executor always
 counts: it is the oracle the memo is checked against.  The unpinned
 default is tiered on launch history: a kernel's first launch runs
@@ -740,10 +741,11 @@ class CompiledKernel:
         self._trace_fn = None
         self._trace_slot_sids: dict[int, int] | None = None
         self._trace_safety = None  # lazy trace-compilation verdict
-        # counter memo: launch key -> KernelStats of a counted launch.
-        # Locked because one kernel may launch from several threads (the
-        # serve device pool)
-        self._counter_memo: OrderedDict[tuple, KernelStats] = OrderedDict()
+        # counter memo: launch key -> (KernelStats of a counted launch,
+        # the chunk size it completed at).  Locked because one kernel may
+        # launch from several threads (the serve device pool)
+        self._counter_memo: OrderedDict[tuple, tuple[KernelStats, int]] = \
+            OrderedDict()
         self._memo_lock = threading.Lock()
         # set by the first launch: unpinned re-launches tier up to trace
         self._launched = False
@@ -891,13 +893,21 @@ class CompiledKernel:
         params that reach a condition or an index, and the
         ``(base, size, dtype)`` of every kernel buffer — not on the mode:
         either fast mode's counted launch serves both.  The first launch
-        of a key counts and is remembered (a few keys per kernel); a
-        later launch with the same key executes values only — bounds
-        checks, the watchdog and the cross-block hazard checks still run,
-        the memory-transaction, bank and segment-reuse accounting does
-        not — and returns a fresh copy of the remembered stats.
-        ``stats.counters`` says which (``"memo"`` or ``"counted"``).
-        The reference executor never memoizes: it is the counting oracle.
+        of a key counts and is remembered with the chunk size it
+        completed at (a few keys per kernel); a later launch with the
+        same key executes values only and returns a fresh copy of the
+        remembered stats.  ``stats.counters`` says which (``"memo"`` or
+        ``"counted"``).  For such a kernel no condition and no index
+        reads loaded data, so the key fixes every address and branch of
+        the launch: a hit repeats the access stream its counted launch
+        ran.  It therefore skips the memory-transaction, bank and
+        segment-reuse accounting and the bounds checks that launch
+        already passed.  At the same chunk size it also skips the
+        cross-block hazard checks and the rollback snapshot
+        (``checks="proven"`` on the ``executor-mode`` event); at another
+        chunk size, where different blocks run side by side, it runs
+        them (``checks="run"``).  The watchdog always runs.  The
+        reference executor never memoizes: it is the counting oracle.
 
         ``trace`` is the single opt-in knob for structured
         :class:`~repro.gpu.events.TraceEvent` collection: off (the default)
@@ -952,20 +962,29 @@ class CompiledKernel:
         self._launched = True
         params = dict(params or {})
         memo_key = memo = None
+        trusted = False
         if (mode != "reference" and faults is None and not trace
                 and not attribution
                 and self.batch_safety.counters_invariant):
+            from repro.gpu.executor_batched import _chunk_size
+            chunk = _chunk_size(block_batch)
             memo_key = self._memo_key(gmem, grid_dim, bdx, bdy, params)
             with self._memo_lock:
-                memo = self._counter_memo.get(memo_key)
-                if memo is not None:
+                entry = self._counter_memo.get(memo_key)
+                if entry is not None:
                     self._counter_memo.move_to_end(memo_key)
+            if entry is not None:
+                memo, proven = entry
+                # the hazard verdict depends on which blocks share a
+                # chunk, so only a hit at the proven chunk size skips it
+                trusted = proven == chunk
         tl = _timeline.current()
         if tl is not None:
             tl.decision("gpu", "executor-mode", kernel=self.kernel.name,
                         requested=requested, mode=mode, grid=grid_dim,
                         fallback=fallback,
-                        counters="counted" if memo is None else "memo")
+                        counters="counted" if memo is None else "memo",
+                        checks="proven" if trusted else "run")
         if faults is not None:
             faults.on_launch(self.kernel.name)  # may raise KernelLaunchError
         stats = KernelStats(
@@ -993,7 +1012,7 @@ class CompiledKernel:
             from repro.gpu.executor_batched import _BatchHazard, run_batched
             safety = self.batch_safety
             check = snapshot = None
-            if safety.checked_bufs and grid_dim > 1:
+            if safety.checked_bufs and grid_dim > 1 and not trusted:
                 # optimistic checked launch: track per-location owner and
                 # highest-reader blocks for the unproven buffers, and
                 # snapshot everything the kernel can write so an abort
@@ -1033,8 +1052,8 @@ class CompiledKernel:
                     stats = dataclasses.replace(memo, trace=[])
                 elif memo_key is not None:
                     with self._memo_lock:
-                        self._counter_memo[memo_key] = dataclasses.replace(
-                            stats, trace=[])
+                        self._counter_memo[memo_key] = (
+                            dataclasses.replace(stats, trace=[]), chunk)
                         if len(self._counter_memo) > _COUNTER_MEMO_MAX:
                             self._counter_memo.popitem(last=False)
                 stats.executor = mode

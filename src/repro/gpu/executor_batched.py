@@ -80,6 +80,12 @@ __all__ = ["BatchedBlockEnv", "run_batched", "DEFAULT_BLOCK_BATCH",
 DEFAULT_BLOCK_BATCH = 256
 
 
+def _chunk_size(block_batch: int | None) -> int:
+    """The blocks per chunk a ``block_batch`` request runs at."""
+    return int(block_batch) if block_batch and block_batch > 0 \
+        else DEFAULT_BLOCK_BATCH
+
+
 # --------------------------------------------------------------------------
 # block-independence analysis
 # --------------------------------------------------------------------------
@@ -125,9 +131,12 @@ class BatchSafety:
     launch shape alone: no branch or loop condition and no global, shared
     or atomic index depends on loaded data.  ``key_params`` names the
     params that reach a condition or an index — with the geometry and
-    the buffer layout, their values determine every counter, which is
-    what lets :meth:`~repro.gpu.executor.CompiledKernel.run` memoize
-    the counters of such kernels.
+    the buffer layout, their values fix every address and every branch
+    of the launch, hence every counter and also the bounds verdict and
+    (per chunk size) the hazard verdict.  That is what lets
+    :meth:`~repro.gpu.executor.CompiledKernel.run` memoize the counters
+    of such kernels and skip, on a hit, the checks its counted launch
+    already passed.
     """
 
     __slots__ = ("batchable", "reason", "checked_bufs",
@@ -508,6 +517,12 @@ def _expand_env(env: BatchedBlockEnv, sub: BatchedBlockEnv,
 # ``bf``/``rw`` (the lanes' block ids / shared-memory rows, None where
 # no hazard check or counter reads them).  The generated code hoists
 # them to a region prologue; the closures derive them per access.
+#
+# A values-only launch (``E.acct`` None: a counter-memo hit) also skips
+# the bounds checks.  Its memo key fixes every address and every buffer
+# size (``counters_invariant``), and the counted launch that made the
+# entry ran the same accesses through the checks; a hazard check, when
+# the launch passes one, still runs.
 
 def _bc(c: np.ndarray, shp) -> np.ndarray:
     """Broadcast a condition/index array to the chunk shape."""
@@ -681,7 +696,8 @@ def _gload(E, name, buf, idx, m, mi, wk, bf, slot, check) -> None:
     act = _act_of(idx, m, mi)
     if check is not None:
         _check_read(check, buf.name, act, bf)
-    gm._check_bounds(buf, act)
+    if E.acct is not None:
+        gm._check_bounds(buf, act)
     vals = buf.data[act]
     if E.acct is not None:
         gm._count_transactions_batched(buf, act, wk, bf, E.acct,
@@ -715,7 +731,8 @@ def _gload_u(E, name, buf, idx, m, mi, wk, bf, slot, check) -> None:
     rblk = E.block_ids
     if check is not None:
         _check_read(check, buf.name, rep, rblk)
-    gm._check_bounds(buf, rep)
+    if E.acct is not None:
+        gm._check_bounds(buf, rep)
     v = buf.data[rep]
     if E.acct is not None:
         gm._count_transactions_batched(buf, m, wk, None, E.acct,
@@ -762,7 +779,8 @@ def _gload_w(E, name, buf, idxw, m, full, slot, check, ws) -> None:
         lanes = miw.size * ws
     if check is not None:
         _check_read(check, buf.name, rep, rblk)
-    gm._check_bounds(buf, rep)
+    if E.acct is not None:
+        gm._check_bounds(buf, rep)
     vals = buf.data[rep]
     if E.acct is not None:
         gm._count_transactions_batched(buf, rep, None, None, E.acct,
@@ -786,7 +804,8 @@ def _gstore(E, buf, idx, val, m, mi, wk, bf, slot, check) -> None:
     act = _act_of(idx, m, mi)
     if check is not None:
         _check_write(check, buf.name, act, bf)
-    gm._check_bounds(buf, act)
+    if E.acct is not None:
+        gm._check_bounds(buf, act)
     buf.data[act] = _act_of(np.asarray(val, dtype=buf.dtype.np), m, mi)
     if E.acct is not None:
         gm._count_transactions_batched(buf, act, wk, bf, E.acct,
@@ -809,7 +828,8 @@ def _sload(E, name, arr, idx, m, mi, wk, rw) -> None:
     sm = E.smem
     a = sm._arrays[arr]
     act = _act_of(idx, m, mi)
-    _sbounds(arr, a.shape[1], act)
+    if sm.stats is not None:
+        _sbounds(arr, a.shape[1], act)
     vals = a[rw, act]
     if sm.stats is not None:
         sm._count_banks(arr, act, wk)
@@ -824,7 +844,8 @@ def _sstore(E, arr, idx, val, m, mi, wk, rw) -> None:
     sm = E.smem
     a = sm._arrays[arr]
     act = _act_of(idx, m, mi)
-    _sbounds(arr, a.shape[1], act)
+    if sm.stats is not None:
+        _sbounds(arr, a.shape[1], act)
     a[rw, act] = _act_of(np.asarray(val, dtype=a.dtype), m, mi)
     if sm.stats is not None:
         sm._count_banks(arr, act, wk)
@@ -1250,11 +1271,13 @@ def _run_chunks(ck, gmem: GlobalMemory, grid_dim: int,
     sid).  ``count=False`` (a counter-memo hit) executes values only:
     transaction and bank accounting, the segment-reuse bookkeeping and
     its launch-end correction are skipped, so the memory counters of
-    ``stats`` stay unset.
+    ``stats`` stay unset, and so are the global and shared bounds checks,
+    which the counted launch of the same memo key passed at the same
+    addresses.  ``check`` is None on a hit at the chunk size that
+    counted launch completed at: its hazard verdict is proven too.
     """
     bdx, bdy = block_dim
-    chunk = int(block_batch) if block_batch and block_batch > 0 \
-        else DEFAULT_BLOCK_BATCH
+    chunk = _chunk_size(block_batch)
     acct = stats if count else None
     seg_cache: dict = {}
     steps = 0

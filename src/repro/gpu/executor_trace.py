@@ -35,7 +35,9 @@ hazard checks and accounting calls, row compaction, and the chunk
 driver with its launch-end segment-reuse correction — so every rule
 lives in one place and only the dispatch differs.  On a counter-memo
 hit (``E.acct is None``) the generated code skips its ``CNT`` lines and
-the helpers skip their counter calls: the launch moves data only.
+the helpers skip their counter calls and bounds checks; at the chunk size
+of the counted launch every ``CK_<buf>`` is None too, so no hazard check
+runs and no block-id gather is made: the launch moves data only.
 
 Eligibility (:func:`analyze_trace_safety`) is the batched proof plus "no
 atomics" (``ufunc.at`` ordering is interpreter-level; not worth a second

@@ -202,6 +202,26 @@ class TestEmitSites:
                if e.name == "executor-mode"]
         assert dec and dec[0].attrs["mode"] == "reference"
 
+    def test_executor_mode_says_which_checks_ran(self):
+        # ``checks`` is "proven" only on a memo hit at the chunk size its
+        # counted launch completed at; every other launch runs them
+        prog = acc.compile(SRC, num_gangs=8, num_workers=2,
+                           vector_length=32)
+        a = (np.arange(1 << 10) % 7).astype(np.float32)
+        launches = (dict(executor_mode="batched"),
+                    dict(executor_mode="trace"),
+                    dict(executor_mode="batched", block_batch=3),
+                    dict(executor_mode="reference"))
+        seen = []
+        with timeline.enabled() as tl:
+            for kw in launches:
+                prog.run(a=a, **kw)
+                seen.append({(e.attrs["counters"], e.attrs["checks"])
+                             for e in tl.drain()
+                             if e.name == "executor-mode"})
+        assert seen == [{("counted", "run")}, {("memo", "proven")},
+                        {("memo", "run")}, {("counted", "run")}]
+
 
 class TestConcurrency:
     def test_readers_prune_and_drain_race_concurrent_emitters(self):

@@ -8,9 +8,11 @@ tests pin the contract from the outside: a memo hit on fresh data gives
 the counters a counted launch of a freshly compiled program gives; data-
 dependent kernels never hit; faults, ``trace``, ``attribution`` and the
 reference executor bypass the memo; any change of the launch shape
-counts afresh; and one entry serves both fast modes.  They also pin the
-tiered default: an unpinned first launch runs ``batched``, and every
-re-launch of a trace-eligible kernel runs the generated trace code —
+counts afresh; and one entry serves both fast modes.  A hit at the chunk
+size of its counted launch runs no hazard check, bounds check or
+rollback snapshot; a hit at another chunk size runs the hazard checks
+and still rolls back.  They also pin the tiered default: an unpinned
+first launch runs ``batched``, and every re-launch of a trace-eligible kernel runs the generated trace code —
 counted on a memo miss, values only on a hit — unless the launch
 collects trace events, arms faults or pins a mode.
 """
@@ -328,12 +330,18 @@ class TestKeyChanges:
 
     def test_memo_is_bounded(self):
         from repro.gpu.executor import _COUNTER_MEMO_MAX
+        from repro.gpu.executor_batched import DEFAULT_BLOCK_BATCH
 
         ck = CompiledKernel(_stride_kernel(), K20C)
         for s in range(1, _COUNTER_MEMO_MAX + 4):
             ck.run(self._memory(), 4, (64, 1), dict(n=256, s=s, scale=0),
-                   mode="batched")
+                   mode="batched", block_batch=s % 2 or None)
         assert len(ck._counter_memo) == _COUNTER_MEMO_MAX
+        # each entry carries the chunk size its counted launch ran at, so
+        # eviction drops both together
+        assert [chunk for _, chunk in ck._counter_memo.values()] == [
+            1 if s % 2 else DEFAULT_BLOCK_BATCH
+            for s in range(4, _COUNTER_MEMO_MAX + 4)]
 
 
 # --------------------------------------------------------------------------
@@ -729,3 +737,190 @@ def test_tiered_hit_hazard_reruns_counted_on_reference(monkeypatch):
     for b in ("buf", "out"):
         assert g[b].data.tobytes() == want_g[b].data.tobytes()
     np.testing.assert_array_equal(g["out"].data, np.arange(1, 9))
+
+
+# --------------------------------------------------------------------------
+# trusted hits: a hit at its proven chunk size skips the checks its
+# counted launch already passed
+# --------------------------------------------------------------------------
+
+class _CopySpy(np.ndarray):
+    """Buffer data whose ``copy()`` the ``spies`` fixture counts (the
+    rollback snapshot of a checked launch copies every written buffer)."""
+
+
+@pytest.fixture
+def spies(monkeypatch):
+    """Counts of every hazard check, bounds check and buffer copy."""
+    from repro.gpu import executor_batched
+
+    calls = dict.fromkeys(("_check_read", "_check_write", "_check_bounds",
+                           "_sbounds", "copy"), 0)
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("_check_read", "_check_write", "_sbounds"):
+        monkeypatch.setattr(executor_batched, name,
+                            spy(name, getattr(executor_batched, name)))
+    monkeypatch.setattr(GlobalMemory, "_check_bounds", staticmethod(
+        spy("_check_bounds", GlobalMemory._check_bounds)))
+    roots = []  # kept alive, so no root's id is reused
+
+    def copy(self, *args, **kwargs):
+        if any(self is r for r in roots):
+            calls["copy"] += 1
+        return np.ndarray.copy(self, *args, **kwargs)
+
+    monkeypatch.setattr(_CopySpy, "copy", copy)
+    alloc = GlobalMemory.alloc
+
+    def spied_alloc(self, *args, **kwargs):
+        buf = alloc(self, *args, **kwargs)
+        buf.data = buf.data.view(_CopySpy)
+        roots.append(buf.data)
+        return buf
+
+    monkeypatch.setattr(GlobalMemory, "alloc", spied_alloc)
+
+    def take():
+        got = dict(calls)
+        for k in calls:
+            calls[k] = 0
+        return got
+    return take
+
+
+def _checks(tl) -> list:
+    return [(e.attrs["counters"], e.attrs["checks"])
+            for e in tl.events("gpu", "decision")
+            if e.name == "executor-mode"]
+
+
+def _shift_memory():
+    g = GlobalMemory(K20C)
+    g.alloc("buf", 9, DType.FLOAT, init=np.arange(9))
+    g.alloc("out", 8, DType.FLOAT)
+    return g
+
+
+_CROSS = [(c, h) for c in FAST_MODES for h in FAST_MODES]
+
+
+@pytest.mark.parametrize("counted_mode, hit_mode", _CROSS)
+def test_trusted_hit_of_the_shift_kernel_checks_nothing(
+        counted_mode, hit_mode, spies):
+    # one block per chunk is the chunk size at which the shift kernel's
+    # checked launch completes
+    ck = CompiledKernel(_shift_kernel(), K20C)
+    st = ck.run(_shift_memory(), 8, (32, 1), mode=counted_mode,
+                block_batch=1)
+    assert st.counters == "counted"
+    counted = spies()
+    assert counted["_check_read"] and counted["_check_write"]
+    assert counted["_check_bounds"] and counted["copy"]
+    g = _shift_memory()
+    with timeline.enabled() as tl:
+        st = ck.run(g, 8, (32, 1), mode=hit_mode, block_batch=1)
+    assert (st.executor, st.counters) == (hit_mode, "memo")
+    assert _checks(tl) == [("memo", "proven")]
+    assert spies() == dict.fromkeys(counted, 0)
+    want_g = _shift_memory()
+    assert st == CompiledKernel(_shift_kernel(), K20C).run(
+        want_g, 8, (32, 1), mode="reference")
+    for b in ("buf", "out"):
+        assert g[b].data.tobytes() == want_g[b].data.tobytes()
+
+
+#: a Table 2 cell whose optimized main kernel has checked buffers and
+#: shared memory (the pipeline is pinned: under the minimal one only the
+#: single-block finish kernel has checked buffers)
+_CHECKED_CELL = "gang worker vector [+] float"
+_CHECKED_GEOM = dict(GEOM, pipeline="optimized")
+
+
+@pytest.mark.parametrize("counted_mode, hit_mode", _CROSS)
+def test_trusted_hit_of_a_checked_cell_checks_nothing(
+        counted_mode, hit_mode, spies):
+    case = next(c for c in _CASES if c.label == _CHECKED_CELL)
+    prog = acc.compile(case.source, **_CHECKED_GEOM)
+    assert all(ck.batch_safety.checked_bufs and ck.kernel.shared_bytes
+               for ck in prog._compiled.values())
+    first = prog.run(executor_mode=counted_mode,
+                     **case.make_inputs(np.random.default_rng(1)))
+    assert _counters(first) == {"counted"}
+    counted = spies()
+    assert all(counted.values()), counted
+    fresh = case.make_inputs(np.random.default_rng(2))
+    with timeline.enabled() as tl:
+        hit = prog.run(executor_mode=hit_mode, **fresh)
+    assert _tiers(hit) == {(hit_mode, "memo")}
+    assert set(_checks(tl)) == {("memo", "proven")}
+    assert spies() == dict.fromkeys(counted, 0)
+    _assert_same_run(hit, acc.compile(case.source, **_CHECKED_GEOM).run(
+        executor_mode="reference", **fresh))
+
+
+@pytest.mark.parametrize("mode", FAST_MODES)
+def test_hit_at_another_chunk_size_runs_the_checks(mode, spies):
+    case = next(c for c in _CASES if c.label == _CHECKED_CELL)
+    prog = acc.compile(case.source, **_CHECKED_GEOM)
+    prog.run(executor_mode=mode, **case.make_inputs(np.random.default_rng(1)))
+    spies()
+    fresh = case.make_inputs(np.random.default_rng(2))
+    with timeline.enabled() as tl:
+        hit = prog.run(executor_mode=mode, block_batch=3, **fresh)
+    assert _tiers(hit) == {(mode, "memo")}
+    assert set(_checks(tl)) == {("memo", "run")}
+    ran = spies()
+    # the hazard checks and the snapshot; the bounds checks, which do not
+    # depend on the chunk size, stay skipped on every values-only launch
+    assert ran["_check_read"] and ran["_check_write"] and ran["copy"]
+    assert not ran["_check_bounds"] and not ran["_sbounds"]
+    _assert_same_run(hit, acc.compile(case.source, **_CHECKED_GEOM).run(
+        executor_mode="reference", **fresh))
+
+
+@pytest.mark.parametrize("counted_mode, hit_mode", _CROSS)
+def test_hit_at_another_chunk_size_rolls_back_a_hazard(
+        counted_mode, hit_mode, spies):
+    ck = CompiledKernel(_shift_kernel(), K20C)
+    ck.run(_shift_memory(), 8, (32, 1), mode=counted_mode, block_batch=1)
+    spies()
+    g = _shift_memory()
+    with timeline.enabled() as tl:
+        st = ck.run(g, 8, (32, 1), mode=hit_mode, block_batch=2)
+    assert _checks(tl) == [("memo", "run")]
+    ran = spies()
+    assert ran["_check_read"] and ran["_check_write"] and ran["copy"]
+    assert (st.executor, st.counters) == ("reference", "counted")
+    want_g = _shift_memory()
+    assert st == CompiledKernel(_shift_kernel(), K20C).run(
+        want_g, 8, (32, 1), mode="reference")
+    for b in ("buf", "out"):
+        assert g[b].data.tobytes() == want_g[b].data.tobytes()
+
+
+@pytest.mark.parametrize("mode", FAST_MODES)
+def test_shrunk_buffer_misses_and_raises_out_of_bounds(mode):
+    # the key holds every buffer's size: a launch whose accesses would
+    # leave a smaller buffer counts, and its bounds check raises the
+    # typed error instead of NumPy's IndexError
+    from repro.errors import OutOfBoundsError
+
+    keys = TestKeyChanges()
+    ck = CompiledKernel(_stride_kernel(), K20C)
+    params = dict(n=256, s=8, scale=1.0)
+    for counters in ("counted", "memo"):
+        st = ck.run(keys._memory(), 4, (64, 1), params, mode=mode)
+        assert st.counters == counters
+    g = GlobalMemory(K20C)
+    g.alloc("a", 256, DType.FLOAT, init=np.arange(256))  # reads up to 504
+    g.alloc("out", 256, DType.FLOAT)
+    with timeline.enabled() as tl:
+        with pytest.raises(OutOfBoundsError, match="buffer 'a' of size 256"):
+            ck.run(g, 4, (64, 1), params, mode=mode)
+    assert _checks(tl) == [("counted", "run")]
