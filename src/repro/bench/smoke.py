@@ -24,7 +24,8 @@ of trace-eligible cells must run ``trace``; every hit, being at the
 chunk size of its counted launch, must run no hazard or bounds check.  A
 default-mode re-launch at a new problem size must count, run ``trace``
 on trace-eligible cells and equal a counted launch of a freshly compiled
-program.
+program, and its counters must equal the reference executor's (the
+oracle) on the same inputs.
 
 Usage::
 
@@ -267,7 +268,10 @@ def _counter_memo_guard() -> dict:
 
     Per cell, a default-mode re-launch of the warm program at a second
     problem size (a memo miss) must count, run ``trace`` under the same
-    condition, and equal a fresh program's counted launch (``relaunch``).
+    condition, and equal a fresh program's counted launch (``relaunch``);
+    its KernelStats must also equal an ``executor_mode="reference"`` run
+    on the same inputs (``oracle``): the folded accounting of a counted
+    block-axis launch against the per-access counting oracle.
     """
     from repro import acc
     from repro.gpu.executor import _env_mode
@@ -314,6 +318,7 @@ def _counter_memo_guard() -> dict:
         inputs = other.make_inputs(np.random.default_rng(44))
         again = warm.run(**inputs)
         counted = acc.compile(case.source, **geom).run(**inputs)
+        oracle = warm.run(executor_mode="reference", **inputs)
         relaunch.append({
             "config": f"{case.label} re-launch",
             "counted": all(st.counters == "counted"
@@ -322,6 +327,7 @@ def _counter_memo_guard() -> dict:
                                 for st in again.kernel_stats.values()}),
             "expect_trace": expect_trace,
             "identical": _same_run(again, counted),
+            "oracle": again.kernel_stats == oracle.kernel_stats,
         })
     return {
         "cells": rows,
@@ -676,6 +682,10 @@ def check_against_baseline(current: dict, baseline: dict,
                 failures.append(
                     f"counter_memo: {row['config']}: a default-mode "
                     f"re-launch ran {'/'.join(row['executor'])}, not trace")
+            if not row["oracle"]:
+                failures.append(
+                    f"counter_memo: {row['config']}: the counted re-launch's "
+                    "KernelStats differ from the reference executor's")
     pp = current.get("pass_pipeline")
     if pp is not None:
         for row in pp["configs"]:
@@ -781,6 +791,8 @@ def main(argv=None) -> int:
           f"{sum(r['counted'] for r in cm['relaunch'])}/"
           f"{len(cm['relaunch'])}, identical "
           f"{sum(r['identical'] for r in cm['relaunch'])}/"
+          f"{len(cm['relaunch'])}, equal to reference "
+          f"{sum(r['oracle'] for r in cm['relaunch'])}/"
           f"{len(cm['relaunch'])}", file=sys.stderr)
     pp = doc["pass_pipeline"]
     for row in pp["configs"]:

@@ -18,9 +18,10 @@ accounting lives in one place:
   compaction (:func:`_compact_env` / :func:`_expand_env`);
 * the access helpers — ``_gload``/``_gload_u``/``_gload_w``/``_gstore``/
   ``_sload``/``_sstore``/``_sync``/``_shfl`` with the hazard checks
-  (``_check_read``/``_check_write``) and the counter calls they make;
-* the chunk driver (:func:`_run_chunks`) with the launch-end
-  segment-reuse correction.
+  (``_check_read``/``_check_write``) and the access log
+  (:class:`~repro.gpu.memory.AccessLog`) they append to;
+* the chunk driver (:func:`_run_chunks`) with the log's folds and the
+  launch-end segment-reuse correction.
 
 The executors differ only in how they dispatch to the helpers: the
 batched one (:func:`run_batched`) compiles the kernel IR into closures,
@@ -69,7 +70,7 @@ from repro.gpu.executor import (
     _stmt_slots,
 )
 from repro.gpu.memory import (
-    BatchedSharedMemory, GlobalMemory, finalize_segment_reuse,
+    AccessLog, BatchedSharedMemory, GlobalMemory, finalize_segment_reuse,
 )
 
 __all__ = ["BatchedBlockEnv", "run_batched", "DEFAULT_BLOCK_BATCH",
@@ -325,7 +326,7 @@ class BatchedBlockEnv:
         "warp_starts", "nwarps", "warpkey", "rows", "block_ids",
         "gmem", "smem", "stats", "params", "block_mask", "trace",
         "block_index", "seg_cache", "kernel_name", "steps",
-        "watchdog_budget", "stuck", "check", "attr", "acct",
+        "watchdog_budget", "stuck", "check", "attr", "log",
     )
 
     def __init__(self, bdx: int, bdy: int, gdx: int, block_ids: np.ndarray,
@@ -369,9 +370,10 @@ class BatchedBlockEnv:
         #: opt-in per-statement AttributionTable (shared with the launch
         #: stats; None = accounting off)
         self.attr = None
-        #: where global-memory transactions are counted: the launch stats,
-        #: or None on a values-only (counter-memo hit) launch
-        self.acct = stats
+        #: the launch's :class:`~repro.gpu.memory.AccessLog`, which the
+        #: access helpers append to; None on a values-only (counter-memo
+        #: hit) launch
+        self.log = None
 
 
 def _warps_per_block(env: BatchedBlockEnv, mask: np.ndarray) -> np.ndarray:
@@ -486,7 +488,7 @@ def _compact_env(env: BatchedBlockEnv, idx: np.ndarray) -> BatchedBlockEnv:
     sub.stuck = env.stuck
     sub.check = env.check
     sub.attr = env.attr
-    sub.acct = env.acct
+    sub.log = env.log
     return sub
 
 
@@ -518,11 +520,13 @@ def _expand_env(env: BatchedBlockEnv, sub: BatchedBlockEnv,
 # no hazard check or counter reads them).  The generated code hoists
 # them to a region prologue; the closures derive them per access.
 #
-# A values-only launch (``E.acct`` None: a counter-memo hit) also skips
-# the bounds checks.  Its memo key fixes every address and every buffer
-# size (``counters_invariant``), and the counted launch that made the
-# entry ran the same accesses through the checks; a hazard check, when
-# the launch passes one, still runs.
+# A counted access is appended to the launch's access log (``E.log``),
+# which folds the transaction and bank counts of many accesses at once.
+# A values-only launch (``E.log`` None: a counter-memo hit) logs nothing
+# and also skips the bounds checks.  Its memo key fixes every address
+# and every buffer size (``counters_invariant``), and the counted launch
+# that made the entry ran the same accesses through the checks; a
+# hazard check, when the launch passes one, still runs.
 
 def _bc(c: np.ndarray, shp) -> np.ndarray:
     """Broadcast a condition/index array to the chunk shape."""
@@ -606,22 +610,6 @@ def _arow(attr, sid, execs, lanes, slots):
     return row
 
 
-#: the memory counters an access's attribution row takes as deltas
-_MEM_COUNTERS = ("global_transactions", "l2_transactions", "global_bytes",
-                 "dram_bytes", "shared_accesses", "bank_conflict_extra")
-
-
-def _snap(st) -> tuple:
-    """The memory counters just before one access."""
-    return tuple(getattr(st, f) for f in _MEM_COUNTERS)
-
-
-def _attr_mem(row, st, before: tuple) -> None:
-    """Charge one access's memory-counter deltas to its attribution row."""
-    for f, b in zip(_MEM_COUNTERS, before):
-        setattr(row, f, getattr(row, f) + getattr(st, f) - b)
-
-
 def _act_of(v, m: np.ndarray, mi) -> np.ndarray:
     """An index or value, broadcast to the chunk shape, at the active
     lanes in flattened (block, lane) order."""
@@ -691,17 +679,15 @@ def _check_write(check, buf: str, act: np.ndarray, blk: np.ndarray) -> None:
 
 
 def _gload(E, name, buf, idx, m, mi, wk, bf, slot, check) -> None:
-    """Global load: hazard check, bounds, gather, transaction count."""
-    gm = E.gmem
+    """Global load: hazard check, bounds, gather, access log."""
     act = _act_of(idx, m, mi)
     if check is not None:
         _check_read(check, buf.name, act, bf)
-    if E.acct is not None:
-        gm._check_bounds(buf, act)
+    if E.log is not None:
+        E.gmem._check_bounds(buf, act)
     vals = buf.data[act]
-    if E.acct is not None:
-        gm._count_transactions_batched(buf, act, wk, bf, E.acct,
-                                       reuse=(E.seg_cache, slot))
+    if E.log is not None:
+        E.log.add_global(buf, slot, act, bf, wk)
     if mi is None:
         E.regs[name] = vals.reshape(m.shape)
     else:
@@ -714,15 +700,13 @@ def _gload_u(E, name, buf, idx, m, mi, wk, bf, slot, check) -> None:
     With a full region mask, one representative per block stands in for
     every lane — no per-lane index materialization at all.  Counter
     parity with the generic path is exact: a uniform index gives one
-    segment per warp and one tagged segment per block either way.  The
-    ``m`` array is passed to the transaction counter as ``act_idx``
-    because with a full mask the active-lane count *is* ``m.size`` — the
-    ``reps`` path only reads ``act_idx.size``.
+    segment per warp and one tagged segment per block either way, so
+    the log takes the representatives with the warp-request count (every
+    warp of every block) and the lane count (``m.size``) outright.
     """
     if mi is not None:
         _gload(E, name, buf, idx, m, mi, wk, bf, slot, check)
         return
-    gm = E.gmem
     shp = m.shape
     idxb = np.asarray(idx)
     if idxb.shape != shp:
@@ -731,13 +715,12 @@ def _gload_u(E, name, buf, idx, m, mi, wk, bf, slot, check) -> None:
     rblk = E.block_ids
     if check is not None:
         _check_read(check, buf.name, rep, rblk)
-    if E.acct is not None:
-        gm._check_bounds(buf, rep)
+    if E.log is not None:
+        E.gmem._check_bounds(buf, rep)
     v = buf.data[rep]
-    if E.acct is not None:
-        gm._count_transactions_batched(buf, m, wk, None, E.acct,
-                                       reuse=(E.seg_cache, slot),
-                                       reps=(rep, rblk))
+    if E.log is not None:
+        E.log.add_global(buf, slot, rep, rblk,
+                         requests=rep.size * E.nwarps, lanes=m.size)
     out = np.empty(shp, dtype=v.dtype)
     out[...] = v[:, None]
     E.regs[name] = out
@@ -753,12 +736,11 @@ def _gload_w(E, name, buf, idxw, m, full, slot, check, ws) -> None:
     and the region mask is constant within each warp, so active warps
     (and their first lanes) stand in for active lanes.  Counter parity
     with the per-lane path is exact — one segment per active warp makes
-    ``requests`` the active-warp count, the per-block dedup collapses to
-    the representatives, and the byte count uses the true lane count
-    (active warps x warp width); the hazard check and the bounds check
-    see the same index values in the same order.
+    the warp requests the active-warp count, the per-block dedup
+    collapses to the representatives, and the byte count uses the true
+    lane count (active warps x warp width); the hazard check and the
+    bounds check see the same index values in the same order.
     """
-    gm = E.gmem
     shp = m.shape
     nb = shp[0]
     nw = shp[1] // ws
@@ -773,19 +755,18 @@ def _gload_w(E, name, buf, idxw, m, full, slot, check, ws) -> None:
         lanes = m.size
         miw = None
     else:
-        miw = np.flatnonzero(np.ascontiguousarray(m[:, ::ws]).reshape(-1))
+        miw = np.ascontiguousarray(m[:, ::ws]).reshape(-1).nonzero()[0]
         rep = idxw.reshape(-1).take(miw)
         rblk = E.block_ids[miw // nw]
         lanes = miw.size * ws
     if check is not None:
         _check_read(check, buf.name, rep, rblk)
-    if E.acct is not None:
-        gm._check_bounds(buf, rep)
+    if E.log is not None:
+        E.gmem._check_bounds(buf, rep)
     vals = buf.data[rep]
-    if E.acct is not None:
-        gm._count_transactions_batched(buf, rep, None, None, E.acct,
-                                       reuse=(E.seg_cache, slot),
-                                       wreps=(rblk, lanes))
+    if E.log is not None:
+        E.log.add_global(buf, slot, rep, rblk, requests=rep.size,
+                         lanes=lanes)
     if miw is None:
         out = np.empty(shp, dtype=vals.dtype)
         out.reshape(nb, nw, ws)[...] = vals.reshape(nb, nw)[:, :, None]
@@ -800,16 +781,14 @@ def _gstore(E, buf, idx, val, m, mi, wk, bf, slot, check) -> None:
     order, duplicate indices resolved in flattened (block, lane) order —
     the highest lane of the highest block wins, as blocks run one at a
     time in the reference executor."""
-    gm = E.gmem
     act = _act_of(idx, m, mi)
     if check is not None:
         _check_write(check, buf.name, act, bf)
-    if E.acct is not None:
-        gm._check_bounds(buf, act)
+    if E.log is not None:
+        E.gmem._check_bounds(buf, act)
     buf.data[act] = _act_of(np.asarray(val, dtype=buf.dtype.np), m, mi)
-    if E.acct is not None:
-        gm._count_transactions_batched(buf, act, wk, bf, E.acct,
-                                       reuse=(E.seg_cache, slot))
+    if E.log is not None:
+        E.log.add_global(buf, slot, act, bf, wk)
 
 
 def _sbounds(name: str, size: int, act: np.ndarray) -> None:
@@ -821,34 +800,34 @@ def _sbounds(name: str, size: int, act: np.ndarray) -> None:
         )
 
 
-def _sload(E, name, arr, idx, m, mi, wk, rw) -> None:
-    """Shared load: bounds, gather from the lanes' rows, bank count
-    (:meth:`~repro.gpu.memory.SharedMemory._count_banks` over
-    block-qualified warp keys)."""
+def _sload(E, name, arr, idx, m, mi, wk, rw, sid) -> None:
+    """Shared load of statement ``sid``: bounds, gather from the lanes'
+    rows, access log (banks fold over block-qualified warp keys)."""
     sm = E.smem
     a = sm._arrays[arr]
     act = _act_of(idx, m, mi)
-    if sm.stats is not None:
+    if E.log is not None:
         _sbounds(arr, a.shape[1], act)
     vals = a[rw, act]
-    if sm.stats is not None:
-        sm._count_banks(arr, act, wk)
+    if E.log is not None:
+        E.log.add_shared(sm, arr, sid, act, wk)
     if mi is None:
         E.regs[name] = vals.reshape(m.shape)
     else:
         _reg(E, name, vals.dtype, m.shape).reshape(-1)[mi] = vals
 
 
-def _sstore(E, arr, idx, val, m, mi, wk, rw) -> None:
-    """Shared store: bounds, cast-then-gather, scatter, bank count."""
+def _sstore(E, arr, idx, val, m, mi, wk, rw, sid) -> None:
+    """Shared store of statement ``sid``: bounds, cast-then-gather,
+    scatter, access log."""
     sm = E.smem
     a = sm._arrays[arr]
     act = _act_of(idx, m, mi)
-    if sm.stats is not None:
+    if E.log is not None:
         _sbounds(arr, a.shape[1], act)
     a[rw, act] = _act_of(np.asarray(val, dtype=a.dtype), m, mi)
-    if sm.stats is not None:
-        sm._count_banks(arr, act, wk)
+    if E.log is not None:
+        E.log.add_shared(sm, arr, sid, act, wk)
 
 
 def _shfl(E, dst, src, delta, ws, m, full) -> None:
@@ -877,7 +856,7 @@ def _sync(E, m, aws, row) -> None:
     allb = m.all(axis=1)
     partial = anyb & ~allb
     if partial.any():
-        bad = int(np.flatnonzero(partial)[0])
+        bad = int(partial.nonzero()[0][0])
         raise BarrierDivergenceError(
             "__syncthreads() executed under divergent control flow "
             f"({int(m[bad].sum())}/{m.shape[1]} threads active)"
@@ -945,9 +924,9 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
     executor: ``execs`` counts blocks with at least one active lane (the
     reference closure runs exactly once per such block),
     ``lanes``/``warp_slots`` are the lane and warp-slot sums the
-    reference path accumulates block by block, and the counter deltas
-    around each memory access distribute the same totals because the
-    accounting calls are shared.
+    reference path accumulates block by block, and the memory counters
+    reach each statement's row from the access log's folds (see
+    :class:`~repro.gpu.memory.AccessLog`).
     """
     sid = s.sid
     if isinstance(s, K.Comment):
@@ -974,15 +953,14 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
         uni = id(s) in uniform_ids
         load = _gload_u if uni else _gload
         def do_gload(env, mask, aw, aws):
-            st, gm = env.stats, env.gmem
-            st.warp_inst_slots += aws
+            gm = env.gmem
+            env.stats.warp_inst_slots += aws
             a, fr = env.attr, gm.faults
-            if a is not None:
-                m0 = _snap(st)
-                f0 = len(fr.records) if fr is not None else 0
+            if a is not None and fr is not None:
+                f0 = len(fr.records)
             chk = None if env.check is None else env.check.get(buf)
             mi = _active(mask)
-            wk = None if env.acct is None else _wk(env, mi)
+            wk = None if env.log is None else _wk(env, mi)
             # block ids feed only the hazard check and the counters (and
             # a full-mask uniform load takes one per block outright)
             bf = None
@@ -994,7 +972,6 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
                 _fault_rows(fr.on_gload, buf, env, name, mask)
             if a is not None:
                 r = _mrow(a, sid, mask, aws)
-                _attr_mem(r, st, m0)
                 if fr is not None:
                     r.fault_events += len(fr.records) - f0
             if env.trace:
@@ -1005,20 +982,16 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
         fi, fv = _compile_expr(s.index), _compile_expr(s.value)
         buf = s.buf
         def do_gstore(env, mask, aw, aws):
-            st = env.stats
-            st.warp_inst_slots += aws
-            a = env.attr
-            if a is not None:
-                m0 = _snap(st)
+            env.stats.warp_inst_slots += aws
             chk = None if env.check is None else env.check.get(buf)
             mi = _active(mask)
-            wk = None if env.acct is None else _wk(env, mi)
+            wk = None if env.log is None else _wk(env, mi)
             bf = None if wk is None and chk is None \
                 else _lanes_of(env.block_ids, mi, mask.shape[1])
             _gstore(env, env.gmem[buf], fi(env), fv(env), mask, mi, wk, bf,
                     slot, chk)
-            if a is not None:
-                _attr_mem(_mrow(a, sid, mask, aws), st, m0)
+            if env.attr is not None:
+                _mrow(env.attr, sid, mask, aws)
             if env.trace:
                 _trace_events(env, "gstore", buf, mask)
         return do_gstore
@@ -1027,21 +1000,18 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
         fi = _compile_expr(s.index)
         name, arr = s.dst, s.arr
         def do_sload(env, mask, aw, aws):
-            st = env.stats
-            st.warp_inst_slots += aws
+            env.stats.warp_inst_slots += aws
             a, fr = env.attr, env.gmem.faults
-            if a is not None:
-                m0 = _snap(st)
-                f0 = len(fr.records) if fr is not None else 0
+            if a is not None and fr is not None:
+                f0 = len(fr.records)
             mi = _active(mask)
-            wk = None if env.acct is None else _wk(env, mi)
+            wk = None if env.log is None else _wk(env, mi)
             _sload(env, name, arr, fi(env), mask, mi, wk,
-                   _lanes_of(env.rows[:, 0], mi, mask.shape[1]))
+                   _lanes_of(env.rows[:, 0], mi, mask.shape[1]), sid)
             if fr is not None:
                 _fault_rows(fr.on_sload, arr, env, name, mask)
             if a is not None:
                 r = _mrow(a, sid, mask, aws)
-                _attr_mem(r, st, m0)
                 if fr is not None:
                     r.fault_events += len(fr.records) - f0
         return do_sload
@@ -1050,17 +1020,13 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
         fi, fv = _compile_expr(s.index), _compile_expr(s.value)
         arr = s.arr
         def do_sstore(env, mask, aw, aws):
-            st = env.stats
-            st.warp_inst_slots += aws
-            a = env.attr
-            if a is not None:
-                m0 = _snap(st)
+            env.stats.warp_inst_slots += aws
             mi = _active(mask)
-            wk = None if env.acct is None else _wk(env, mi)
+            wk = None if env.log is None else _wk(env, mi)
             _sstore(env, arr, fi(env), fv(env), mask, mi, wk,
-                    _lanes_of(env.rows[:, 0], mi, mask.shape[1]))
-            if a is not None:
-                _attr_mem(_mrow(a, sid, mask, aws), st, m0)
+                    _lanes_of(env.rows[:, 0], mi, mask.shape[1]), sid)
+            if env.attr is not None:
+                _mrow(env.attr, sid, mask, aws)
         return do_sstore
 
     if isinstance(s, K.If):
@@ -1108,7 +1074,7 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
                 if lc * 2 <= m.shape[0]:
                     # most blocks have exited (m only ever shrinks):
                     # slice the working set to the live rows
-                    idx = np.flatnonzero(live)
+                    idx = live.nonzero()[0]
                     stack.append((env, idx))
                     env = _compact_env(env, idx)
                     m = m[idx]
@@ -1168,7 +1134,7 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
                 if lc * 2 <= mask.shape[0]:
                     # most blocks have left the loop (live only shrinks):
                     # slice the working set to the live rows
-                    idx = np.flatnonzero(live)
+                    idx = live.nonzero()[0]
                     stack.append((env, idx))
                     env = _compact_env(env, idx)
                     mask, aw, live = mask[idx], aw[idx], live[idx]
@@ -1186,7 +1152,7 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
 
     if isinstance(s, K.Sync):
         def do_sync(env, mask, aw, aws):
-            _sync(env, mask, None if env.acct is None else aws,
+            _sync(env, mask, None if env.log is None else aws,
                   None if env.attr is None else env.attr.row(sid))
             if env.trace:
                 _trace_events(env, "sync", "", mask)
@@ -1221,15 +1187,18 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
                 val = np.broadcast_to(val, mask.shape)
             a = env.attr
             if a is not None:
-                m0 = _snap(st)
+                g0, b0 = st.global_transactions, st.global_bytes
+                d0 = st.dram_bytes
             # ufunc.at applies duplicates in flattened (block, thread)
             # order — the same combine order as blocks run one at a time
             env.gmem.atomic_update(buf, idx, val, mask, env.warpkey,
                                    st, combine)
             if a is not None:
                 r = _mrow(a, sid, mask, aws)
-                _attr_mem(r, st, m0)
-                r.atomic_rounds += st.global_transactions - m0[0]
+                r.global_transactions += st.global_transactions - g0
+                r.global_bytes += st.global_bytes - b0
+                r.dram_bytes += st.dram_bytes - d0
+                r.atomic_rounds += st.global_transactions - g0
         return do_atomic
 
     raise SimulationError(f"unknown statement node {s!r}")
@@ -1268,18 +1237,23 @@ def _run_chunks(ck, gmem: GlobalMemory, grid_dim: int,
     carries across chunks, the checked-hazard state resets at chunk
     boundaries, and the cross-block reuse correction runs once at launch
     end, attributed through ``slot_sids`` (segment-reuse slot → stamped
-    sid).  ``count=False`` (a counter-memo hit) executes values only:
-    transaction and bank accounting, the segment-reuse bookkeeping and
-    its launch-end correction are skipped, so the memory counters of
-    ``stats`` stay unset, and so are the global and shared bounds checks,
-    which the counted launch of the same memo key passed at the same
+    sid).  A counted launch logs its global and shared accesses in one
+    :class:`~repro.gpu.memory.AccessLog`, which folds their transaction,
+    bank and segment-reuse counts at launch end (or earlier, at its
+    element budget).  ``count=False`` (a counter-memo hit) executes
+    values only: it keeps no log, so the memory counters of ``stats``
+    stay unset, and it skips the global and shared bounds checks, which
+    the counted launch of the same memo key passed at the same
     addresses.  ``check`` is None on a hit at the chunk size that
     counted launch completed at: its hazard verdict is proven too.
     """
     bdx, bdy = block_dim
     chunk = _chunk_size(block_batch)
-    acct = stats if count else None
+    ws = ck.device.warp_size
     seg_cache: dict = {}
+    log = AccessLog(gmem, stats, seg_cache, slot_sids, grid_dim,
+                    min(chunk, grid_dim) * -(-bdx * bdy // ws)) \
+        if count else None
     steps = 0
     prev_faults = gmem.faults
     if faults is not None:
@@ -1289,10 +1263,11 @@ def _run_chunks(ck, gmem: GlobalMemory, grid_dim: int,
             ids = np.arange(start, min(start + chunk, grid_dim),
                             dtype=np.int64)
             env = BatchedBlockEnv(bdx, bdy, grid_dim, ids, gmem, stats,
-                                  params, ck.device.warp_size, trace)
+                                  params, ws, trace)
             env.smem = BatchedSharedMemory(ck.device, ck.kernel.shared,
-                                           acct, len(ids))
-            env.acct = acct
+                                           stats if count else None,
+                                           len(ids))
+            env.log = log
             env.seg_cache = seg_cache
             env.kernel_name = ck.kernel.name
             env.steps = steps
@@ -1312,6 +1287,7 @@ def _run_chunks(ck, gmem: GlobalMemory, grid_dim: int,
     finally:
         gmem.faults = prev_faults
     if count:
+        log.flush()
         finalize_segment_reuse(seg_cache, stats,
                                ck.device.transaction_bytes,
                                attr=stats.attribution, slot_sids=slot_sids)

@@ -24,18 +24,19 @@ closure interpreter:
 * counter updates (``KernelStats`` / ``StmtCounters``) are emitted
   inline per region with the enclosing region's precomputed active-warp
   totals.  Every line whose only consumer is a counter sits behind one
-  per-launch flag (``CNT = E.acct is not None``), so the same source
+  per-launch flag (``CNT = E.log is not None``), so the same source
   runs counted or values-only.
 
 Bit-identity is the contract, not a goal: results, every KernelStats
 counter, and attribution tables must match the reference and batched
 executors exactly.  The generated code therefore calls the batched
 executor's own block-axis runtime — the access helpers with their
-hazard checks and accounting calls, row compaction, and the chunk
-driver with its launch-end segment-reuse correction — so every rule
-lives in one place and only the dispatch differs.  On a counter-memo
-hit (``E.acct is None``) the generated code skips its ``CNT`` lines and
-the helpers skip their counter calls and bounds checks; at the chunk size
+hazard checks and access log, row compaction, and the chunk driver
+with the log's folds and the launch-end segment-reuse correction — so
+every rule lives in one place and only the dispatch differs.  On a
+counter-memo hit (``E.log is None``) the generated code skips its
+``CNT`` lines and the helpers log nothing and skip their bounds
+checks; at the chunk size
 of the counted launch every ``CK_<buf>`` is None too, so no hazard check
 runs and no block-id gather is made: the launch moves data only.
 
@@ -58,10 +59,10 @@ from repro.gpu import kernelir as K
 from repro.gpu.device import DeviceProperties
 from repro.gpu.executor import _c_div, _c_mod, _CALLS, _truthy
 from repro.gpu.executor_batched import (
-    _UNIFORMITY, _arow, _attr_mem, _bc, _cast, _compact_env, _expand_env,
-    _fresh, _full, _gload, _gload_u, _gload_w, _gstore, _lanes_of,
-    _massign, _param, _run_chunks, _shfl, _sload, _snap, _sstore, _sync,
-    _uniform_stmts, _warps_per_block, _watchdog_trip, _wk,
+    _UNIFORMITY, _arow, _bc, _cast, _compact_env, _expand_env, _fresh,
+    _full, _gload, _gload_u, _gload_w, _gstore, _lanes_of, _massign,
+    _param, _run_chunks, _shfl, _sload, _sstore, _sync, _uniform_stmts,
+    _warps_per_block, _watchdog_trip, _wk,
     analyze_batch_safety,
 )
 from repro.gpu.events import KernelStats
@@ -141,11 +142,10 @@ _BASE_GLOBALS = {
     "DT_b": np.dtype(np.bool_),
     "_bc": _bc, "_fresh": _fresh, "_full": _full, "_massign": _massign,
     "_cast": _cast, "_param": _param, "_arow": _arow,
-    "_snap": _snap, "_attr_mem": _attr_mem,
     "_gload": _gload, "_gload_u": _gload_u, "_gload_w": _gload_w,
     "_gstore": _gstore,
     "_sload": _sload, "_sstore": _sstore, "_shfl": _shfl, "_sync": _sync,
-    "_flat": np.flatnonzero, "_wk": _wk, "_lanes_of": _lanes_of,
+    "_wk": _wk, "_lanes_of": _lanes_of,
     "_compact_env": _compact_env, "_expand_env": _expand_env,
     "_warps_per_block": _warps_per_block, "_watchdog_trip": _watchdog_trip,
 }
@@ -315,7 +315,8 @@ class _Emitter:
                 self.w("if not WOK:")
                 self.ind += 1
             self.w(f"{r.mi} = None" if r.f == "True" else
-                   f"{r.mi} = None if {r.f} else _flat({r.m}.reshape(-1))")
+                   f"{r.mi} = None if {r.f} else "
+                   f"{r.m}.reshape(-1).nonzero()[0]")
             self.w(f"{r.wk} = _wk(E, {r.mi}) if CNT else None")
             if gmem:
                 # block ids feed only the hazard check and the counters
@@ -372,8 +373,7 @@ class _Emitter:
     def count(self, r: _Region, sid: int | None = None, extra: tuple = (),
               pre: tuple = ()) -> None:
         """One statement's counter updates behind the per-launch ``CNT``
-        guard: its warp slots, then the raw ``pre`` lines (e.g. the
-        attribution snapshots taken before an access), then, given a
+        guard: its warp slots, then the raw ``pre`` lines, then, given a
         ``sid``, its attribution row."""
         self.w("if CNT:")
         self.ind += 1
@@ -429,16 +429,12 @@ class _Emitter:
             self.w(f"_massign(E, {s.dst!r}, v{u}, {r.m})")
             self.ind -= 1
 
-    #: attribution of a memory access: counter snapshot before, deltas after
-    _MEM_PRE = ("if A is not None:", "    _m0 = _snap(ST)")
-    _MEM_ATTR = ("_attr_mem(_r, ST, _m0)",)
-
     def emit_gload(self, s: K.GLoad, r: _Region) -> None:
         u = self.fresh()
         slot = self.alloc_slot(s.sid)
         self.bufs.add(s.buf)
         helper = "_gload_u" if id(s) in self.uniform_ids else "_gload"
-        self.count(r, pre=self._MEM_PRE)
+        self.count(r, s.sid)
         if id(s) in self.warp_ids:
             # warp-representative path, guarded on the runtime layout
             # condition that makes ``ty`` warp-uniform
@@ -460,35 +456,31 @@ class _Emitter:
             self.w(f"ix{u} = {self.expr(s.index)}")
             self.w(f"{helper}(E, {s.dst!r}, B_{s.buf}, ix{u}, {r.m}, "
                    f"{r.mi}, {r.wk}, {r.bf}, {slot}, CK_{s.buf})")
-        self.attr_row(r, s.sid, self._MEM_ATTR)
 
     def emit_gstore(self, s: K.GStore, r: _Region) -> None:
         u = self.fresh()
         slot = self.alloc_slot(s.sid)
         self.bufs.add(s.buf)
-        self.count(r, pre=self._MEM_PRE)
+        self.count(r, s.sid)
         self.w(f"ix{u} = {self.expr(s.index)}")
         self.w(f"v{u} = {self.expr(s.value)}")
         self.w(f"_gstore(E, B_{s.buf}, ix{u}, v{u}, {r.m}, {r.mi}, "
                f"{r.wk}, {r.bf}, {slot}, CK_{s.buf})")
-        self.attr_row(r, s.sid, self._MEM_ATTR)
 
     def emit_sload(self, s: K.SLoad, r: _Region) -> None:
         u = self.fresh()
-        self.count(r, pre=self._MEM_PRE)
+        self.count(r, s.sid)
         self.w(f"ix{u} = {self.expr(s.index)}")
         self.w(f"_sload(E, {s.dst!r}, {s.arr!r}, ix{u}, {r.m}, {r.mi}, "
-               f"{r.wk}, {r.rw})")
-        self.attr_row(r, s.sid, self._MEM_ATTR)
+               f"{r.wk}, {r.rw}, {s.sid})")
 
     def emit_sstore(self, s: K.SStore, r: _Region) -> None:
         u = self.fresh()
-        self.count(r, pre=self._MEM_PRE)
+        self.count(r, s.sid)
         self.w(f"ix{u} = {self.expr(s.index)}")
         self.w(f"v{u} = {self.expr(s.value)}")
         self.w(f"_sstore(E, {s.arr!r}, ix{u}, v{u}, {r.m}, {r.mi}, "
-               f"{r.wk}, {r.rw})")
-        self.attr_row(r, s.sid, self._MEM_ATTR)
+               f"{r.wk}, {r.rw}, {s.sid})")
 
     def emit_if(self, s: K.If, r: _Region) -> None:
         u = self.fresh()
@@ -553,7 +545,7 @@ class _Emitter:
         self.w(f"{cp} = {lc} * 2 <= {m}.shape[0]")
         self.w(f"if {cp}:")
         self.ind += 1
-        self.w(f"{ix} = _flat({lv}); {px} = E")
+        self.w(f"{ix} = {lv}.nonzero()[0]; {px} = E")
         self.w(f"E = _compact_env(E, {ix})")
         self.w(f"{m} = {m}[{ix}]; {f} = bool({m}.all())")
         self.w(f"{aw} = np.asarray({aw})[{ix}] if CNT else None")
@@ -584,7 +576,7 @@ class _Emitter:
         self.ind += 1
         self.w(f"if lc{u} * 2 <= {mw}.shape[0]:")
         self.ind += 1
-        self.w(f"ix_ = _flat(lv{u})")
+        self.w(f"ix_ = lv{u}.nonzero()[0]")
         self.w(f"stk{u}.append((E, ix_))")
         self.w("E = _compact_env(E, ix_)")
         self.w(f"{mw} = {mw}[ix_]")
@@ -650,7 +642,7 @@ class _Emitter:
         self.ind -= 1
         self.w(f"if lc{u} * 2 <= {mw}.shape[0]:")
         self.ind += 1
-        self.w(f"ix_ = _flat(lv{u})")
+        self.w(f"ix_ = lv{u}.nonzero()[0]")
         self.w(f"stk{u}.append((E, ix_))")
         self.w("E = _compact_env(E, ix_)")
         self.w(f"{mw} = {mw}[ix_]; lv{u} = lv{u}[ix_]")
@@ -704,7 +696,7 @@ class _Emitter:
             "    GM = E.gmem; ST = E.stats; A = E.attr; R = E.regs",
             # counted launch (off on a counter-memo hit): every line whose
             # only consumer is a counter sits behind this flag
-            "    CNT = E.acct is not None",
+            "    CNT = E.log is not None",
             "    SHP = E.block_mask.shape; NB = SHP[0]",
             "    TX = E.tx; TY = E.ty; TID = E.tid; BX = E.bx",
             "    BDX = E.bdx; BDY = E.bdy; GDX = E.gdx; NTID = E.ntid",

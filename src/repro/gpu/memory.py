@@ -13,6 +13,15 @@ access that maps *n* distinct words to the same bank serializes into *n*
 accesses (same-word broadcast is free).  The transposed reduction layouts the
 paper rejects (Fig. 6(b) / 8(b)) pay for themselves here.
 
+The reference executor counts each access as it runs.  A counted
+block-axis launch (the batched and trace executors) instead appends its
+accesses to an :class:`AccessLog` and counts them in folds: once per
+segment-reuse slot for global memory
+(:meth:`GlobalMemory._count_transactions_batched`) and once per shared
+array for banks (:meth:`SharedMemory._count_banks`), at launch end or
+when the log reaches its element budget.  Every counter equals the
+per-access count.
+
 Store semantics: when several active threads store to the same element in one
 statement, the highest thread id wins, deterministically.  This makes
 missing-privatization races (the modeled commercial-compiler defects) produce
@@ -31,7 +40,7 @@ from repro.gpu.device import DeviceProperties
 from repro.gpu.events import KernelStats
 
 __all__ = ["Buffer", "GlobalMemory", "SharedMemory", "BatchedSharedMemory",
-           "finalize_segment_reuse"]
+           "AccessLog", "finalize_segment_reuse"]
 
 _ALIGN = 256
 
@@ -227,162 +236,130 @@ class GlobalMemory:
         stats.global_bytes += int(act_idx.size) * buf.dtype.itemsize
         stats.dram_bytes += dram * self.device.transaction_bytes
 
-    # -- block-axis accounting (all blocks of a chunk in one call) --------
+    # -- block-axis accounting: one fold per slot over the access log -----
 
-    def _count_transactions_batched(self, buf: Buffer, act_idx: np.ndarray,
-                                    act_warpkey: np.ndarray,
-                                    act_block: np.ndarray,
-                                    stats: KernelStats,
-                                    reuse: tuple | None = None,
-                                    reps: tuple | None = None,
-                                    wreps: tuple | None = None) -> None:
-        """Block-axis version of :meth:`_count_transactions`.
+    def _count_transactions_batched(self, log: "_SlotLog", st: "_SlotReuse",
+                                    stats: KernelStats) -> None:
+        """Count one slot's logged block-axis accesses in one fold.
 
-        Warp requests use block-qualified warp keys, so per-warp segment
-        sets never merge across blocks and ``requests`` equals the sum of
-        the per-block request counts.  The statement-level segment-reuse
-        model needs more care: in the reference executor the per-slot
-        cache chains *across* blocks (block ``b``'s first execution of a
-        statement compares against the previous block's final segments).
-        Here each block's segments are tagged with the block id, later
-        executions compare against the same block's previous execution
-        (exact), and first executions are counted as all-DRAM eagerly;
-        :func:`finalize_segment_reuse` replays the cross-block chain at
-        launch end and moves the overlap from DRAM to L2, restoring
-        bit-identical totals.
+        The result is what :meth:`_count_transactions` gives when each
+        logged access (a *call*) is counted in order with the slot's
+        reuse cache chained per block.  The elements of all calls are
+        folded together on packed integer keys: ``(call, block,
+        segment)`` for the block-tagged unique segments and ``(call,
+        warp key, segment)`` for the warp requests.  The warp keys are
+        block-qualified, so per-warp segment sets never merge across
+        blocks or calls.  A representative call (``wkeys`` None: the
+        ``"block"``/``"warp"`` uniformity verdicts of
+        :func:`~repro.gpu.executor_batched._uniform_stmts`) logs its
+        request count outright and one element per block or warp.
 
-        ``reps`` — ``(rep, rblk)``, one representative index and block id
-        per active block — asserts the index is per-block uniform (the
-        static ``"block"`` verdict of
-        :func:`~repro.gpu.executor_batched._uniform_stmts`).  Every lane
-        of a block then touches the one segment its representative
-        touches, so warp requests collapse to the distinct warp keys and
-        the per-lane key construction below is skipped — the dominant
-        cost of broadcast-heavy kernels.
-
-        ``wreps`` — ``(rblk, lanes)``; ``act_idx`` then holds one
-        representative index per *active warp* (in lane order), ``rblk``
-        the block id of each, and ``lanes`` the true active-lane count.
-        Asserts the index is per-warp uniform under a warp-uniform mask
-        (the static ``"warp"`` verdict of the same analysis plus the
-        ``blockDim.x % warp_size == 0`` launch guard).
-        One segment per warp and one rep per warp make ``requests`` the
-        rep count outright, the block-tagged dedup collapses to the reps
-        (every lane of a warp touches its rep's segment), and the byte
-        count comes from ``lanes`` instead of ``act_idx.size``.
+        Segment reuse: a ``(call, block)`` group's segments hit the L2
+        where the same block's previous execution of the statement
+        touched them.  That execution is the nearest earlier group of
+        the block in this fold (a binary search of the shifted keys),
+        or else the block's range of ``st.cur``, left by an earlier fold
+        of the slot.  A block's first execution is counted as all-DRAM
+        here; :func:`finalize_segment_reuse` replays the cross-block
+        chain of the reference executor at launch end and moves the
+        overlap from DRAM to L2, restoring bit-identical totals.  The
+        fold leaves ``st`` as per-call counting would, so folds chain
+        across flushes and chunks.
         """
-        nbytes = int(act_idx.size) * buf.dtype.itemsize
-        if wreps is not None:
-            rblk, lanes = wreps
-            nbytes = int(lanes) * buf.dtype.itemsize
-            seg_r = act_idx.astype(np.int64)
-            seg_r *= buf.dtype.itemsize
-            seg_r += buf.base
-            seg_r //= self.device.transaction_bytes
-            # one rep per active warp with distinct block-qualified warp
-            # keys: requests = the rep count
-            requests = int(seg_r.size)
-            bkey = rblk.astype(np.int64) * _SEG_TAG
-            bkey += seg_r
-            if not _is_sorted(bkey):
-                bkey.sort()
-            newseg = np.empty(bkey.size, dtype=bool)
-            newseg[0] = True
-            np.not_equal(bkey[1:], bkey[:-1], out=newseg[1:])
-            uniq_bseg = bkey[newseg]
-        elif reps is not None:
-            rep, rblk = reps
-            seg_r = rep.astype(np.int64)
-            seg_r *= buf.dtype.itemsize
-            seg_r += buf.base
-            seg_r //= self.device.transaction_bytes
-            # one segment per warp: requests = distinct warp keys (the
-            # block-qualified keys arrive sorted along the lane order)
-            requests = 1 + int(np.count_nonzero(
-                act_warpkey[1:] != act_warpkey[:-1]))
-            # one tagged segment per block, already unique and sorted
-            # (rblk is strictly increasing)
-            uniq_bseg = rblk.astype(np.int64) * _SEG_TAG
-            uniq_bseg += seg_r
+        sb, hi = log.sb, log.hi
+        mb = hi - sb
+        # the fold consumes the log: each part is dropped once the keys
+        # built from it exist, so the fold's peak holds few copies
+        keys = _cat(log.keys)
+        requests = log.requests
+        g = [i for i, w in enumerate(log.wkeys) if w is not None]
+        if g:
+            rkey = _cat([log.wkeys[i] for i in g]) << sb
+            log.wkeys = None
+            rkey |= keys if len(g) == len(log.keys) \
+                else _cat([log.keys[i] for i in g])
+            requests += _count_distinct(rkey)
+            del rkey
+        log.keys = None
+        bkey = _cat(log.blocks) << sb
+        log.blocks = None
+        bkey |= keys
+        del keys
+        uk = _distinct(bkey)
+        del bkey
+        u = uk.size
+        # (call, block) groups: contiguous runs of the sorted keys
+        gk = uk >> sb
+        new = np.empty(u, dtype=bool)
+        new[0] = True
+        np.not_equal(gk[1:], gk[:-1], out=new[1:])
+        start = new.nonzero()[0]
+        gkey = gk[start]
+        size = np.empty(start.size, dtype=np.int64)
+        np.subtract(start[1:], start[:-1], out=size[:-1])
+        size[-1] = u - start[-1]
+        gcall = gkey >> mb
+        gblk = gkey & ((1 << mb) - 1)
+        # per group: the tagged cache key of an element is its packed key
+        # plus this offset
+        off = gblk * _SEG_TAG
+        off += log.seg0
+        off -= gkey << sb
+        hits = 0
+        if gcall[0] == gcall[-1]:
+            # one call: every group is its block's first and last here
+            first = last = None
         else:
-            # in-place key arithmetic: each array below is a fresh
-            # temporary, so the compound expressions are unrolled to
-            # avoid extra passes
-            seg = act_idx.astype(np.int64)
-            seg *= buf.dtype.itemsize
-            seg += buf.base
-            seg //= self.device.transaction_bytes
-            # sort+diff dedup: ~10x cheaper than np.unique's hash path at
-            # the per-statement sizes this runs at (callers guarantee
-            # act_idx is non-empty)
-            wkey = act_warpkey * _SEG_TAG
-            wkey += seg
-            if not _is_sorted(wkey):
-                wkey.sort()
-            requests = 1 + int(np.count_nonzero(wkey[1:] != wkey[:-1]))
-            bkey = act_block * _SEG_TAG
-            bkey += seg
-            if not _is_sorted(bkey):
-                bkey.sort()
-            newseg = np.empty(bkey.size, dtype=bool)
-            newseg[0] = True
-            np.not_equal(bkey[1:], bkey[:-1], out=newseg[1:])
-            uniq_bseg = bkey[newseg]
-        if reuse is not None:
-            cache, slot = reuse
-            st = cache.get(slot)
-            if st is None:
-                st = cache[slot] = _SlotReuse()
-            if st.cur.size:
-                dram = int(uniq_bseg.size
-                           - _in_sorted(uniq_bseg, st.cur).sum())
-            else:
-                dram = int(uniq_bseg.size)
-            blk = uniq_bseg // _SEG_TAG
-            bstart = np.empty(blk.size, dtype=bool)
-            bstart[0] = True
-            np.not_equal(blk[1:], blk[:-1], out=bstart[1:])
-            starts = np.flatnonzero(bstart)
-            pblocks = blk[starts]
-            pb = pblocks.tolist()
-            if not st.seen.issuperset(pb):
-                for j, b in enumerate(pb):
-                    if b not in st.seen:
-                        lo = starts[j]
-                        hi = starts[j + 1] if j + 1 < starts.size \
-                            else uniq_bseg.size
-                        st.first[b] = uniq_bseg[lo:hi] - b * _SEG_TAG
-                        st.seen.add(b)
-            if not st.cur.size or st.blocks.issubset(pbset := set(pb)):
-                # every cached block is executing this statement, so the
-                # eviction replaces the whole cache: skip the range
-                # subtraction (the steady state of full-chunk loops)
-                st.cur = uniq_bseg
-                st.blocks = set(pb)
-            else:
-                # evict the executing blocks' previous entries: tagged
-                # keys put each block in the contiguous key range
-                # [b*TAG, (b+1)*TAG), so eviction is range subtraction
-                lo = np.searchsorted(st.cur, pblocks * _SEG_TAG)
-                hi = np.searchsorted(st.cur, (pblocks + 1) * _SEG_TAG)
-                if len(pb) <= 8:
-                    keep_mask = np.ones(st.cur.size, dtype=bool)
-                    for l, h in zip(lo.tolist(), hi.tolist()):
-                        keep_mask[l:h] = False
-                    keep = st.cur[keep_mask]
-                else:
-                    delta = np.zeros(st.cur.size + 1, dtype=np.int32)
-                    np.add.at(delta, lo, 1)
-                    np.add.at(delta, hi, -1)
-                    keep = st.cur[np.cumsum(delta[:-1]) == 0]
-                st.cur = np.sort(np.concatenate([keep, uniq_bseg]))
-                st.blocks |= pbset
+            # each group's predecessor: the block's previous group
+            order = np.argsort(gblk, kind="stable")
+            ob = gblk[order]
+            same = (ob[1:] == ob[:-1]).nonzero()[0]
+            has = order[same + 1]
+            prev = order[same]
+            first = np.ones(gkey.size, dtype=bool)
+            first[has] = False
+            last = np.ones(gkey.size, dtype=bool)
+            last[prev] = False
+            if has.size:
+                # shift each element's call field back to its group's
+                # predecessor; first groups keep delta 0 and find
+                # themselves, which the subtraction below takes back
+                lo = int(has.min())
+                delta = np.zeros(gkey.size - lo, dtype=np.int64)
+                delta[has - lo] = (gcall[has] - gcall[prev]) << hi
+                tail = uk[start[lo]:]
+                q = tail - np.repeat(delta, size[lo:])
+                found = int(np.count_nonzero(uk[np.searchsorted(uk, q)] == q))
+                hits = found - (tail.size - int(size[has].sum()))
+        fk, fb, fsz = _group_keys(uk, start, size, off, gblk, first)
+        if st.cur.size:
+            hits += int(_in_sorted(fk, st.cur).sum())
+        pb = fb.tolist()
+        if not st.seen.issuperset(pb):
+            ends = np.cumsum(fsz).tolist()
+            lo = 0
+            for b, e in zip(pb, ends):
+                if b not in st.seen:
+                    st.first[b] = fk[lo:e] - b * _SEG_TAG
+                    st.seen.add(b)
+                lo = e
+        if last is None:
+            lk, lb = fk, fb
         else:
-            dram = int(uniq_bseg.size)
+            lk, lb, _ = _group_keys(uk, start, size, off, gblk, last)
+            if not _is_sorted(lk):
+                lk.sort()
+        _evict_and_cache(st, lk, lb)
+        dram = u - hits
         stats.global_transactions += dram
         stats.l2_transactions += requests - dram
-        stats.global_bytes += nbytes
+        stats.global_bytes += log.lanes * log.buf.dtype.itemsize
         stats.dram_bytes += dram * self.device.transaction_bytes
+
+
+def _cat(parts: list) -> np.ndarray:
+    """One array of the parts; the part itself when there is one."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _is_sorted(a: np.ndarray) -> bool:
@@ -395,13 +372,66 @@ def _is_sorted(a: np.ndarray) -> bool:
     return a.size < 2 or bool((a[1:] >= a[:-1]).all())
 
 
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of ``a`` (sorted in place: ``a`` must
+    be a fresh array).  Sort+diff dedup: far cheaper than ``np.unique``
+    at the sizes the folds run at."""
+    if not _is_sorted(a):
+        a.sort()
+    keep = np.empty(a.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
+def _count_distinct(a: np.ndarray) -> int:
+    """How many distinct values ``a`` holds (sorted in place, as above)."""
+    if not _is_sorted(a):
+        a.sort()
+    return 1 + int(np.count_nonzero(a[1:] != a[:-1]))
+
+
+def _group_keys(uk, start, size, off, gblk, sel):
+    """The tagged cache keys, block ids and sizes of the ``sel`` groups
+    (all groups when ``sel`` is None), in group order.  A contiguous run
+    of groups — the steady state: a fold's first or last call — is a
+    slice, not a gather."""
+    if sel is None:
+        return uk + np.repeat(off, size), gblk, size
+    idx = sel.nonzero()[0]
+    lo, hi = int(idx[0]), int(idx[-1]) + 1
+    if hi - lo == idx.size:
+        end = int(start[hi]) if hi < start.size else uk.size
+        return (uk[start[lo]:end] + np.repeat(off[lo:hi], size[lo:hi]),
+                gblk[lo:hi], size[lo:hi])
+    return (uk[np.repeat(sel, size)] + np.repeat(off[idx], size[idx]),
+            gblk[idx], size[idx])
+
+
+def _evict_and_cache(st: "_SlotReuse", keys: np.ndarray,
+                     blocks: np.ndarray) -> None:
+    """Make the sorted tagged ``keys`` the latest execution of each of
+    ``blocks`` in ``st.cur``, replacing those blocks' earlier entries."""
+    pb = blocks.tolist()
+    if not st.cur.size or st.blocks.issubset(pbset := set(pb)):
+        # every cached block executed in this fold, so the eviction
+        # replaces the whole cache: skip the range subtraction (the
+        # steady state of full-chunk loops)
+        st.cur = keys
+        st.blocks = set(pb)
+        return
+    # evict the executing blocks' previous entries (a tagged key's
+    # block is its quotient by the tag)
+    keep = st.cur[~np.isin(st.cur // _SEG_TAG, blocks)]
+    st.cur = np.sort(np.concatenate([keep, keys]))
+    st.blocks |= pbset
+
+
 def _in_sorted(values: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Membership of sorted ``values`` in sorted ``table``.
+    """Membership of ``values`` in sorted ``table``.
 
     Equivalent to ``np.isin(values, table, assume_unique=True)`` but a
-    plain binary search — no hashing and no temporary concatenation, which
-    makes it materially cheaper at the per-statement call rates of the
-    batched executor's reuse bookkeeping.
+    plain binary search — no hashing and no temporary concatenation.
     """
     if not table.size:
         return np.zeros(values.shape, dtype=bool)
@@ -410,7 +440,10 @@ def _in_sorted(values: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 
 class _SlotReuse:
-    """Per-statement segment-reuse state for the batched executor."""
+    """Segment-reuse state of one slot (global-access statement) over a
+    block-axis launch, left by the slot's folds.  ``cur`` holds each
+    block's latest execution, ``first`` each block's first one;
+    :func:`finalize_segment_reuse` reads both at launch end."""
 
     __slots__ = ("cur", "first", "seen", "blocks")
 
@@ -617,11 +650,11 @@ class BatchedSharedMemory(SharedMemory):
     Each named array is carried as a ``(blocks, size)`` matrix — one row
     per block of the chunk, so cross-block isolation is structural.  The
     block-axis access helpers of :mod:`repro.gpu.executor_batched` read
-    and write the rows and count banks through
-    :meth:`SharedMemory._count_banks` with block-qualified warp keys:
-    per-(block, warp) conflict degrees are computed exactly as the
-    per-block model and summed.  Constructed with ``stats=None`` (a
-    counter-memo hit) it counts nothing.
+    and write the rows and log each access; the :class:`AccessLog` counts
+    banks through :meth:`SharedMemory._count_banks` with block-qualified,
+    call-tagged warp keys: per-(call, block, warp) conflict degrees are
+    computed exactly as the per-block model and summed.  Constructed
+    with ``stats=None`` (a counter-memo hit) it counts nothing.
     """
 
     def __init__(self, device: DeviceProperties, specs: tuple,
@@ -634,3 +667,205 @@ class BatchedSharedMemory(SharedMemory):
     def read_block(self, name: str, row: int) -> np.ndarray:
         """One block's view of a shared array (tests/debugging)."""
         return self._arrays[name][row]
+
+
+# --------------------------------------------------------------------------
+# the access log of a counted block-axis launch
+# --------------------------------------------------------------------------
+
+#: element budget of one launch's :class:`AccessLog`: once the pending
+#: accesses hold this many elements, every slot and shared array folds.
+#: It bounds the log's memory and, through the call count, the call
+#: field of the packed fold keys
+LOG_BUDGET = 1 << 14
+
+#: warp-key bits :meth:`SharedMemory._count_banks` takes: its
+#: ``(warp, word)`` keys put the warp key above bit 40 of an int64
+_BANK_WARP_BITS = 23
+
+
+class _SlotLog:
+    """One slot's logged accesses since its last fold.
+
+    Per access (a *call*): ``keys`` holds each element's segment,
+    relative to the buffer's first, with the call number above bit
+    ``hi``; ``blocks`` the elements' block ids; ``wkeys`` their
+    block-qualified warp keys, or None for a representative access,
+    whose warp requests are added to ``requests`` as it is logged.  The
+    segment takes ``sb`` bits and a block id or warp key ``hi - sb``, so
+    at most ``cap`` calls fit a 62-bit key.
+    """
+
+    __slots__ = ("buf", "tb", "seg0", "off", "shift", "sb", "hi", "cap",
+                 "keys", "blocks", "wkeys", "requests", "lanes", "n")
+
+    def __init__(self, buf: Buffer, tb: int, mbits: int):
+        isz = buf.dtype.itemsize
+        self.buf, self.tb = buf, tb
+        self.seg0, self.off = divmod(buf.base, tb)
+        span = (self.off + max(buf.nbytes, 1) - 1) // tb + 1
+        self.sb = (span - 1).bit_length()
+        self.hi = self.sb + mbits
+        self.cap = 1 << max(62 - self.hi, 0)
+        # an aligned buffer whose segment holds a power-of-two number of
+        # elements takes its segments with one shift
+        per = tb // isz
+        self.shift = (per.bit_length() - 1 if self.off == 0
+                      and per * isz == tb and not per & (per - 1) else None)
+        self.keys: list[np.ndarray] = []
+        self.blocks: list[np.ndarray] = []
+        self.wkeys: list[np.ndarray | None] = []
+        self.requests = self.lanes = self.n = 0
+
+    def add(self, idx: np.ndarray, blocks: np.ndarray, wkeys, requests: int,
+            lanes: int) -> None:
+        if self.shift is not None:
+            k = np.right_shift(idx, self.shift, dtype=np.int64)
+        else:
+            k = idx.astype(np.int64)
+            k *= self.buf.dtype.itemsize
+            k += self.off
+            k //= self.tb
+        c = len(self.keys)
+        if c:
+            k |= c << self.hi
+        self.keys.append(k)
+        self.blocks.append(blocks)
+        self.wkeys.append(wkeys)
+        self.requests += requests
+        self.lanes += lanes
+        self.n += idx.size
+
+
+class _BankLog:
+    """One shared array's logged accesses since its last fold (``sid``
+    is the statement whose attribution row they charge, or None)."""
+
+    __slots__ = ("smem", "arr", "sid", "idx", "wkeys", "n")
+
+    def __init__(self, smem: "SharedMemory", arr: str, sid):
+        self.smem, self.arr, self.sid = smem, arr, sid
+        self.idx: list[np.ndarray] = []
+        self.wkeys: list[np.ndarray] = []
+        self.n = 0
+
+
+class AccessLog:
+    """The counted global and shared accesses of one block-axis launch.
+
+    The access helpers of :mod:`repro.gpu.executor_batched` append each
+    access here instead of counting it; a fold counts many accesses in
+    one call.  Global accesses fold once per segment-reuse slot, through
+    :meth:`GlobalMemory._count_transactions_batched`, which chains each
+    slot's :class:`_SlotReuse` state in ``seg_cache`` exactly as
+    counting every access would.  Shared accesses fold once per array,
+    through the unchanged :meth:`SharedMemory._count_banks` over the
+    concatenated accesses with call-tagged warp keys: conflict degrees
+    are per (call, warp), so their sum is the per-access sum.
+
+    :meth:`flush` folds everything, at launch end or once the pending
+    accesses reach :data:`LOG_BUDGET` elements; a slot or array also
+    folds when its call count fills the packed keys.  On an
+    attribution launch each fold's counter deltas go to the row of its
+    statement: a global slot's through ``slot_sids``, and shared
+    accesses are logged per (array, statement).  A launch that raises,
+    a hazard rollback included, drops its log unfolded.
+
+    ``grid_dim`` and ``wkeys`` bound the block ids and the warp keys the
+    accesses carry.
+    """
+
+    __slots__ = ("gmem", "stats", "seg_cache", "slot_sids", "mbits",
+                 "wbits", "slots", "banks", "pending")
+
+    def __init__(self, gmem: GlobalMemory, stats: KernelStats,
+                 seg_cache: dict, slot_sids: dict | None, grid_dim: int,
+                 wkeys: int):
+        self.gmem, self.stats = gmem, stats
+        self.seg_cache, self.slot_sids = seg_cache, slot_sids
+        self.wbits = (wkeys - 1).bit_length()
+        self.mbits = max((grid_dim - 1).bit_length(), self.wbits)
+        self.slots: dict[int, _SlotLog] = {}
+        self.banks: dict = {}
+        self.pending = 0
+
+    def add_global(self, buf: Buffer, slot: int, idx: np.ndarray,
+                   blocks: np.ndarray, wkeys: np.ndarray | None = None,
+                   requests: int = 0, lanes: int | None = None) -> None:
+        """Log one global access of ``slot``: per element its index,
+        block id and warp key; or, for a representative access
+        (``wkeys`` None), one element per block or warp with the
+        access's warp ``requests`` and active ``lanes``."""
+        sl = self.slots.get(slot)
+        if sl is None:
+            sl = self.slots[slot] = _SlotLog(
+                buf, self.gmem.device.transaction_bytes, self.mbits)
+        sl.add(idx, blocks, wkeys, requests,
+               idx.size if lanes is None else lanes)
+        self.pending += idx.size
+        if len(sl.keys) == sl.cap:
+            self._fold_slot(slot, self.slots.pop(slot))
+        if self.pending >= LOG_BUDGET:
+            self.flush()
+
+    def add_shared(self, smem: "SharedMemory", arr: str, sid: int,
+                   idx: np.ndarray, wkeys: np.ndarray) -> None:
+        """Log one shared access of statement ``sid`` to ``arr``."""
+        attr = self.stats.attribution is not None
+        key = (arr, sid) if attr else arr
+        bl = self.banks.get(key)
+        if bl is None:
+            bl = self.banks[key] = _BankLog(smem, arr, sid if attr else None)
+        bl.idx.append(idx.copy())  # the index may alias a register
+        bl.wkeys.append(wkeys)
+        bl.n += idx.size
+        self.pending += idx.size
+        if len(bl.wkeys) << self.wbits >= 1 << _BANK_WARP_BITS:
+            self._fold_bank(self.banks.pop(key))
+        if self.pending >= LOG_BUDGET:
+            self.flush()
+
+    def flush(self) -> None:
+        """Fold every pending slot and shared array."""
+        slots, self.slots = self.slots, {}
+        banks, self.banks = self.banks, {}
+        for slot, sl in slots.items():
+            self._fold_slot(slot, sl)
+        for bl in banks.values():
+            self._fold_bank(bl)
+
+    def _fold_slot(self, slot: int, sl: _SlotLog) -> None:
+        self.pending -= sl.n
+        st = self.seg_cache.get(slot)
+        if st is None:
+            st = self.seg_cache[slot] = _SlotReuse()
+        stats = self.stats
+        attr = stats.attribution
+        if attr is not None:
+            g0, l0 = stats.global_transactions, stats.l2_transactions
+            b0, d0 = stats.global_bytes, stats.dram_bytes
+        self.gmem._count_transactions_batched(sl, st, stats)
+        if attr is not None:
+            row = attr.row(self.slot_sids.get(slot, -1)
+                           if self.slot_sids is not None else -1)
+            row.global_transactions += stats.global_transactions - g0
+            row.l2_transactions += stats.l2_transactions - l0
+            row.global_bytes += stats.global_bytes - b0
+            row.dram_bytes += stats.dram_bytes - d0
+
+    def _fold_bank(self, bl: _BankLog) -> None:
+        self.pending -= bl.n
+        wk = _cat(bl.wkeys)
+        if len(bl.wkeys) > 1:
+            # call-tag the warp keys: degrees are per (call, warp)
+            wk |= np.repeat(
+                np.arange(len(bl.wkeys), dtype=np.int64) << self.wbits,
+                [w.size for w in bl.wkeys])
+        stats = self.stats
+        if bl.sid is not None:
+            s0, c0 = stats.shared_accesses, stats.bank_conflict_extra
+        bl.smem._count_banks(bl.arr, _cat(bl.idx), wk)
+        if bl.sid is not None:
+            row = stats.attribution.row(bl.sid)
+            row.shared_accesses += stats.shared_accesses - s0
+            row.bank_conflict_extra += stats.bank_conflict_extra - c0

@@ -1,13 +1,17 @@
 """Property tests on the memory model's accounting invariants."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dtypes import DType
-from repro.gpu.device import K20C
+from repro.gpu.device import K20C, DeviceProperties
 from repro.gpu.events import KernelStats
+from repro.gpu.executor_batched import DEFAULT_BLOCK_BATCH
 from repro.gpu.kernelir import SharedArraySpec
-from repro.gpu.memory import GlobalMemory, SharedMemory
+from repro.gpu.memory import (
+    AccessLog, GlobalMemory, SharedMemory, finalize_segment_reuse,
+)
 
 SIZE = 4096
 
@@ -95,3 +99,177 @@ class TestSharedAccounting:
         assert stats.shared_accesses == expect
         assert 1 <= stats.shared_accesses <= 32
         assert stats.bank_conflict_extra == expect - 1
+
+
+def _fold_launch(nblocks, nthreads, chunk, dtype, size, calls, flushes,
+                 device=K20C, bounds=None):
+    """Counters of one synthetic launch two ways: logged block-axis
+    accesses folded by an :class:`AccessLog` (chunk-major order, warp
+    keys qualified by the block's row in its chunk), and the sequential
+    rule — blocks in index order, each access counted on its own by
+    :meth:`GlobalMemory._count_transactions` with the slot caches
+    chained across blocks, and by :meth:`SharedMemory._count_banks`.
+
+    ``calls`` lists ``(slot, kind, seed)``: ``kind`` is ``"g"`` (per-lane
+    indices), ``"reps"`` (one index per block, every lane active) or
+    ``"wreps"`` (one index per active warp, whole warps active); a
+    ``None`` slot is a shared access.  ``flushes`` holds the (chunk,
+    call) steps after which the log folds early.  ``bounds`` overrides
+    the block-id and warp-key bounds the log packs its keys for."""
+    ws = device.warp_size
+    nwarps = -(-nthreads // ws)
+    g = GlobalMemory(device)
+    g.alloc("pad", 3, DType.INT)
+    buf = g.alloc("a", size, dtype)
+    spec = (SharedArraySpec("s", dtype, 96),)
+    # per (call, block): active lane ids and their indices, or None
+    plan = []
+    for slot, kind, seed in calls:
+        rng = np.random.default_rng(seed)
+        hi = size if slot is not None else 96
+        per = {}
+        for b in range(nblocks):
+            if rng.random() < 0.25:
+                continue  # the block does not execute this access
+            if kind == "reps":
+                lanes = np.arange(nthreads)
+                idx = np.full(nthreads, rng.integers(hi))
+            elif kind == "wreps":
+                warps = np.flatnonzero(rng.random(nwarps) < 0.7)
+                if not warps.size:
+                    continue
+                lanes = (warps[:, None] * ws + np.arange(ws)).reshape(-1)
+                idx = np.repeat(rng.integers(hi, size=warps.size), ws)
+            else:
+                lanes = np.flatnonzero(rng.random(nthreads) < 0.8)
+                if not lanes.size:
+                    continue
+                if rng.random() < 0.5:
+                    idx = (rng.integers(hi) + lanes
+                           * int(rng.integers(1, 4))) % hi
+                else:
+                    idx = rng.integers(hi, size=lanes.size)
+            per[b] = (lanes, idx.astype(np.int32))
+        plan.append(per)
+
+    want = KernelStats()
+    sm_ref = SharedMemory(device, spec, want)
+    cache: dict = {}
+    for b in range(nblocks):
+        for (slot, _, _), per in zip(calls, plan):
+            if b in per:
+                lanes, idx = per[b]
+                if slot is None:
+                    sm_ref._count_banks("s", idx, lanes // ws)
+                else:
+                    g._count_transactions(buf, idx, lanes // ws, want,
+                                          reuse=(cache, slot))
+
+    got = KernelStats()
+    seg_cache: dict = {}
+    log = AccessLog(g, got, seg_cache, None,
+                    *(bounds or (nblocks, min(chunk, nblocks) * nwarps)))
+    sm = SharedMemory(device, spec, got)
+    for c0 in range(0, nblocks, chunk):
+        for k, ((slot, kind, _), per) in enumerate(zip(calls, plan)):
+            rows = [b for b in range(c0, min(c0 + chunk, nblocks))
+                    if b in per]
+            if not rows:
+                continue
+            if kind in ("reps", "wreps") and slot is not None:
+                rep, rblk, lanes = [], [], 0
+                for b in rows:
+                    lane, idx = per[b]
+                    rep.append(idx[::ws] if kind == "wreps" else idx[:1])
+                    rblk += [b] * rep[-1].size
+                    lanes += lane.size
+                rep = np.concatenate(rep)
+                log.add_global(buf, slot, rep,
+                               np.asarray(rblk, dtype=np.int64),
+                               requests=rep.size * (nwarps if kind == "reps"
+                                                    else 1), lanes=lanes)
+            else:
+                idx = np.concatenate([per[b][1] for b in rows])
+                wk = np.concatenate([(b - c0) * nwarps + per[b][0] // ws
+                                     for b in rows]).astype(np.int64)
+                blocks = np.concatenate(
+                    [np.full(per[b][0].size, b, dtype=np.int64)
+                     for b in rows])
+                if slot is None:
+                    log.add_shared(sm, "s", 0, idx, wk)
+                else:
+                    log.add_global(buf, slot, idx, blocks, wk)
+            if (c0 // chunk, k) in flushes:
+                log.flush()
+    log.flush()
+    finalize_segment_reuse(seg_cache, got, device.transaction_bytes)
+    return got, want
+
+
+_COUNTERS = ("global_transactions", "l2_transactions", "global_bytes",
+             "dram_bytes", "shared_accesses", "bank_conflict_extra")
+
+
+class TestAccessLogFold:
+    """The access log's folds equal counting every access in block
+    order, whatever the chunking, the call mix and the flush points."""
+
+    @given(
+        nblocks=st.integers(1, 7),
+        nthreads=st.sampled_from([24, 32, 64, 96]),
+        chunk=st.sampled_from([1, 3, DEFAULT_BLOCK_BATCH]),
+        dtype=st.sampled_from([DType.FLOAT, DType.DOUBLE]),
+        size=st.sampled_from([8, 32, 100, 700]),
+        calls=st.lists(st.tuples(st.sampled_from([0, 1, None]),
+                                 st.sampled_from(["g", "reps", "wreps"]),
+                                 st.integers(0, 2**16)),
+                       min_size=1, max_size=10),
+        flushes=st.sets(st.tuples(st.integers(0, 6), st.integers(0, 9)),
+                        max_size=6),
+        # 96-byte segments take the general segment arithmetic: no
+        # power-of-two element count, and a base off the segment grid
+        tb=st.sampled_from([128, 96]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_fold_equals_sequential_counting(self, nblocks, nthreads, chunk,
+                                             dtype, size, calls, flushes,
+                                             tb):
+        if nthreads % K20C.warp_size:
+            # warp-representative accesses need whole warps
+            calls = [(s, "g" if k == "wreps" else k, x)
+                     for s, k, x in calls]
+        got, want = _fold_launch(nblocks, nthreads, chunk, dtype, size,
+                                 calls, flushes,
+                                 DeviceProperties(transaction_bytes=tb))
+        assert {f: getattr(got, f) for f in _COUNTERS} \
+            == {f: getattr(want, f) for f in _COUNTERS}
+
+    @given(
+        size=st.sampled_from([8, 700]),
+        calls=st.lists(st.tuples(st.sampled_from([0, None]),
+                                 st.sampled_from(["g", "reps", "wreps"]),
+                                 st.integers(0, 2**16)),
+                       min_size=1, max_size=24),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_fold_at_the_packed_key_width_limit(self, size, calls):
+        """Bounds that leave a few calls' room in the packed keys (16 at
+        a one-segment buffer, 1 at 700 doubles; 2 for the banks) fold a
+        slot or an array as its calls fill them."""
+        got, want = _fold_launch(4, 64, 2, DType.DOUBLE, size, calls,
+                                 set(), bounds=(2**58, 2**22))
+        assert {f: getattr(got, f) for f in _COUNTERS} \
+            == {f: getattr(want, f) for f in _COUNTERS}
+
+    @pytest.mark.parametrize("chunk", [1, 3, DEFAULT_BLOCK_BATCH])
+    @pytest.mark.parametrize("nblocks", [1, 5])
+    def test_single_segment_buffer(self, nblocks, chunk):
+        """A buffer inside one segment packs its segment field at zero
+        bits: a block's repeated accesses must still hit the L2."""
+        calls = [(0, "g", 1), (0, "reps", 2), (1, "g", 3), (0, "g", 4),
+                 (None, "g", 5), (0, "wreps", 6), (None, "g", 7)]
+        got, want = _fold_launch(nblocks, 64, chunk, DType.FLOAT, 8,
+                                 calls, {(0, 2)})
+        assert {f: getattr(got, f) for f in _COUNTERS} \
+            == {f: getattr(want, f) for f in _COUNTERS}
+        assert got.l2_transactions > 0

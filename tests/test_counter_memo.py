@@ -625,7 +625,7 @@ def test_relaunch_demotions_stay_off_trace(way, shape, monkeypatch):
 @pytest.mark.usefixtures("unpinned")
 def test_tiered_hit_counts_nothing(monkeypatch):
     from repro.gpu import executor_batched, executor_trace
-    from repro.gpu.memory import GlobalMemory, SharedMemory
+    from repro.gpu.memory import AccessLog, GlobalMemory, SharedMemory
 
     case = next(c for c in _CASES
                 if c.label == "gang worker vector [+] float")
@@ -651,7 +651,10 @@ def test_tiered_hit_counts_nothing(monkeypatch):
     monkeypatch.setitem(executor_trace._BASE_GLOBALS, "_warps_per_block",
                         guard("_warps_per_block",
                               executor_batched._warps_per_block))
-    for owner, name in ((GlobalMemory, "_count_transactions_batched"),
+    # the access log's entry points and its folds
+    for owner, name in ((AccessLog, "add_global"), (AccessLog, "add_shared"),
+                        (AccessLog, "flush"),
+                        (GlobalMemory, "_count_transactions_batched"),
                         (SharedMemory, "_count_banks"),
                         (executor_batched, "finalize_segment_reuse")):
         monkeypatch.setattr(owner, name, guard(name, getattr(owner, name)))
@@ -663,9 +666,53 @@ def test_tiered_hit_counts_nothing(monkeypatch):
     counted = acc.compile(case.source, **GEOM).run(executor_mode="trace",
                                                    **fresh)
     assert _tiers(counted) == {("trace", "counted")}
-    assert set(called) == {"_warps_per_block", "_count_transactions_batched",
+    assert set(called) == {"_warps_per_block", "add_global", "add_shared",
+                           "flush", "_count_transactions_batched",
                            "_count_banks", "finalize_segment_reuse"}
     _assert_same_run(hit, counted)
+
+
+@pytest.mark.parametrize("mode", FAST_MODES)
+def test_counted_launch_folds_once_per_slot_and_flush(mode, monkeypatch):
+    """A counted launch logs its accesses and counts them in folds: the
+    transaction fold runs at most once per (slot, flush), not once per
+    access, and the log flushes at launch end and at each element
+    budget it fills.  The ``worker [+] float`` cell at 192x8x128 makes
+    1,537 global accesses."""
+    from repro.gpu.memory import LOG_BUDGET, AccessLog, GlobalMemory
+
+    case = next(c for c in generate_cases(size=4096)
+                if c.label == "worker [+] float")
+    n = dict(fold=0, flush=0, accesses=0, shared=0, elems=0)
+
+    def counting(name, fn, idx_arg=None):
+        def wrapper(*args, **kwargs):
+            n[name] += 1
+            if idx_arg is not None:
+                n["elems"] += args[idx_arg].size
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(GlobalMemory, "_count_transactions_batched",
+                        counting("fold",
+                                 GlobalMemory._count_transactions_batched))
+    monkeypatch.setattr(AccessLog, "flush",
+                        counting("flush", AccessLog.flush))
+    monkeypatch.setattr(AccessLog, "add_global",
+                        counting("accesses", AccessLog.add_global, idx_arg=3))
+    monkeypatch.setattr(AccessLog, "add_shared",
+                        counting("shared", AccessLog.add_shared, idx_arg=4))
+    prog = acc.compile(case.source, num_gangs=192, num_workers=8,
+                       vector_length=128)
+    res = prog.run(executor_mode=mode,
+                   **case.make_inputs(np.random.default_rng(1)))
+    assert _tiers(res) == {(mode, "counted")}
+    slots = sum(len(ck._trace_slot_sids if mode == "trace"
+                    else ck._slot_sids) for ck in prog._compiled.values())
+    launches = len(res.kernel_stats)
+    assert n["accesses"] == 1537
+    assert n["fold"] <= slots * n["flush"]
+    assert n["flush"] <= launches + n["elems"] // LOG_BUDGET
 
 
 def test_pinned_modes_stay_pinned(monkeypatch):
