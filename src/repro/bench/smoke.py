@@ -25,7 +25,9 @@ chunk size of its counted launch, must run no hazard or bounds check.  A
 default-mode re-launch at a new problem size must count, run ``trace``
 on trace-eligible cells and equal a counted launch of a freshly compiled
 program, and its counters must equal the reference executor's (the
-oracle) on the same inputs.
+oracle) on the same inputs; a matmul re-launch must also flush its
+access log mid-launch, so that oracle covers segment reuse chained
+across flushes.
 
 Usage::
 
@@ -252,6 +254,33 @@ def _counting_checks():
         GlobalMemory._check_bounds = bounds
 
 
+@contextlib.contextmanager
+def _counting_flushes():
+    """Count the :meth:`AccessLog.flush <repro.gpu.memory.AccessLog.flush>`
+    calls made while the block is active (``calls[0]``): one per counted
+    block-axis launch, plus one each time its log reaches the budget."""
+    from repro.gpu.memory import AccessLog
+
+    calls = [0]
+    flush = AccessLog.flush
+
+    def counted(self):
+        calls[0] += 1
+        return flush(self)
+
+    try:
+        AccessLog.flush = counted
+        yield calls
+    finally:
+        AccessLog.flush = flush
+
+
+def _matmul_inputs(rng, n: int) -> dict:
+    return dict(A=rng.random(n * n, dtype=np.float32),
+                B=rng.random(n * n, dtype=np.float32),
+                C=np.zeros(n * n, np.float32), n=n)
+
+
 def _counter_memo_guard() -> dict:
     """Counter-memo identity on the ``table2_quick`` cells (not timed).
 
@@ -271,9 +300,16 @@ def _counter_memo_guard() -> dict:
     condition, and equal a fresh program's counted launch (``relaunch``);
     its KernelStats must also equal an ``executor_mode="reference"`` run
     on the same inputs (``oracle``): the folded accounting of a counted
-    block-axis launch against the per-access counting oracle.
+    block-axis launch against the per-access counting oracle.  Each
+    re-launch row records its ``flushes`` (access-log folds, one per
+    launch at its end and one per element budget reached).  The Table 2
+    cells stream their inputs, so no block re-reads a segment and their
+    oracle cannot see the reuse chained across flushes; a matmul
+    re-launch (rows of ``A`` re-read by every ``j``) must flush
+    mid-launch (``chained``), so its oracle does.
     """
     from repro import acc
+    from repro.apps.matmul import MATMUL_SRC
     from repro.gpu.executor import _env_mode
     from repro.obs import timeline
     from repro.testsuite.cases import POSITIONS, generate_cases
@@ -286,6 +322,25 @@ def _counter_memo_guard() -> dict:
     geom = dict(num_gangs=192, num_workers=8, vector_length=128)
     rows = []
     relaunch = []
+
+    def relaunch_row(label, source, expect_trace, inputs, warm):
+        with _counting_flushes() as flushes:
+            again = warm.run(**inputs)
+        counted = acc.compile(source, **geom).run(**inputs)
+        oracle = warm.run(executor_mode="reference", **inputs)
+        return {
+            "config": f"{label} re-launch",
+            "counted": all(st.counters == "counted"
+                           for st in again.kernel_stats.values()),
+            "executor": sorted({st.executor
+                                for st in again.kernel_stats.values()}),
+            "expect_trace": expect_trace,
+            "identical": _same_run(again, counted),
+            "oracle": again.kernel_stats == oracle.kernel_stats,
+            "launches": len(again.kernel_stats),
+            "flushes": flushes[0],
+        }
+
     for case, other in zip(cases, resized):
         warm = acc.compile(case.source, **geom)
         expect_trace = _env_mode() is None and all(
@@ -315,20 +370,16 @@ def _counter_memo_guard() -> dict:
                                           hit.kernel_stats.values()})
                 row["expect_trace"] = expect_trace
             rows.append(row)
-        inputs = other.make_inputs(np.random.default_rng(44))
-        again = warm.run(**inputs)
-        counted = acc.compile(case.source, **geom).run(**inputs)
-        oracle = warm.run(executor_mode="reference", **inputs)
-        relaunch.append({
-            "config": f"{case.label} re-launch",
-            "counted": all(st.counters == "counted"
-                           for st in again.kernel_stats.values()),
-            "executor": sorted({st.executor
-                                for st in again.kernel_stats.values()}),
-            "expect_trace": expect_trace,
-            "identical": _same_run(again, counted),
-            "oracle": again.kernel_stats == oracle.kernel_stats,
-        })
+        relaunch.append(relaunch_row(
+            case.label, case.source, expect_trace,
+            other.make_inputs(np.random.default_rng(44)), warm))
+    mm = acc.compile(MATMUL_SRC, **geom)
+    mm.run(**_matmul_inputs(np.random.default_rng(45), 16))
+    row = relaunch_row("matmul", MATMUL_SRC, _env_mode() is None and all(
+        ck.trace_safety.eligible for ck in mm._compiled.values()),
+        _matmul_inputs(np.random.default_rng(46), 32), mm)
+    row["chained"] = row["flushes"] > row["launches"]
+    relaunch.append(row)
     return {
         "cells": rows,
         "relaunch": relaunch,
@@ -686,6 +737,11 @@ def check_against_baseline(current: dict, baseline: dict,
                 failures.append(
                     f"counter_memo: {row['config']}: the counted re-launch's "
                     "KernelStats differ from the reference executor's")
+            if row.get("chained") is False:
+                failures.append(
+                    f"counter_memo: {row['config']}: the counted re-launch "
+                    "never flushed its access log mid-launch, so its "
+                    "oracle no longer covers reuse chained across flushes")
     pp = current.get("pass_pipeline")
     if pp is not None:
         for row in pp["configs"]:
@@ -793,7 +849,9 @@ def main(argv=None) -> int:
           f"{sum(r['identical'] for r in cm['relaunch'])}/"
           f"{len(cm['relaunch'])}, equal to reference "
           f"{sum(r['oracle'] for r in cm['relaunch'])}/"
-          f"{len(cm['relaunch'])}", file=sys.stderr)
+          f"{len(cm['relaunch'])}, flushed mid-launch "
+          f"{sum(r.get('chained', False) for r in cm['relaunch'])}/"
+          f"{sum('chained' in r for r in cm['relaunch'])}", file=sys.stderr)
     pp = doc["pass_pipeline"]
     for row in pp["configs"]:
         print(f"  passes {row['config']:<42} "

@@ -800,8 +800,8 @@ class CompiledKernel:
 
         ``"trace"`` adds one more rung: it degrades to the batched
         resolution whenever the generated code cannot honor the launch —
-        statically ineligible kernels (atomics, unsupported constructs,
-        or no block-independence proof), kernels already demoted by a
+        statically ineligible kernels (atomics, or no block-independence
+        proof), kernels already demoted by a
         runtime hazard, armed fault injectors, and ``trace_events``
         launches (TraceEvent collection is a per-access interpreter
         concern the generated code deliberately omits).  An injector

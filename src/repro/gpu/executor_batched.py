@@ -20,13 +20,20 @@ accounting lives in one place:
   ``_sload``/``_sstore``/``_sync``/``_shfl`` with the hazard checks
   (``_check_read``/``_check_write``) and the access log
   (:class:`~repro.gpu.memory.AccessLog`) they append to;
+* the control-flow helpers — ``_if`` (divergence split and branch
+  compaction), ``_while`` and ``_uwhile`` (steps, watchdog, stuck warps,
+  loop compaction), the region warp vector (``_warps_per_block``), the
+  region charge (``_charge``: warp slots, barriers, attribution rows)
+  and masked register assignment (``_set``);
 * the chunk driver (:func:`_run_chunks`) with the log's folds and the
   launch-end segment-reuse correction.
 
 The executors differ only in how they dispatch to the helpers: the
 batched one (:func:`run_batched`) compiles the kernel IR into closures,
 one per statement; the trace one (:mod:`repro.gpu.executor_trace`)
-generates Python source that calls them.  Fault hooks and
+generates Python source that calls them.  A control-flow helper takes
+its regions as callables: the batched block closures, or the functions
+the generated source defines per region.  Fault hooks and
 :class:`~repro.gpu.events.TraceEvent` collection are batched-only: the
 closures apply them after the helper (launches that need them never run
 the generated code).
@@ -46,6 +53,10 @@ Control-flow accounting parity (each derived from the reference rules):
 * ``warp_inst_slots`` — every statement charges the *sum* of a per-block
   active-warp vector ``aw``; blocks with no active lanes carry 0, which
   matches the reference executor never reaching the statement for them.
+  A region charges all its statements at entry (:func:`_charge`): a
+  launch that raises part-way discards its stats, so only complete
+  launches are seen, and those reach every statement of every region
+  they enter.
 * divergence — per-block warp masks of both branch sides, summed.
 * loop ``steps`` (the watchdog currency) — each batched loop iteration
   adds the number of blocks still iterating, so the launch total equals
@@ -66,8 +77,7 @@ from repro.gpu import kernelir as K
 from repro.gpu.device import DeviceProperties
 from repro.gpu.events import KernelStats, TraceEvent
 from repro.gpu.executor import (
-    ATOMIC_OPS, _assign, _compile_expr, _truthy, _watchdog_trip,
-    _stmt_slots,
+    ATOMIC_OPS, _compile_expr, _truthy, _watchdog_trip, _stmt_slots,
 )
 from repro.gpu.memory import (
     AccessLog, BatchedSharedMemory, GlobalMemory, finalize_segment_reuse,
@@ -376,10 +386,15 @@ class BatchedBlockEnv:
         self.log = None
 
 
-def _warps_per_block(env: BatchedBlockEnv, mask: np.ndarray) -> np.ndarray:
-    """Active-warp count per block, as an int64 ``(blocks,)`` vector."""
-    t = np.add.reduceat(mask, env.warp_starts, axis=1) > 0
-    return t.sum(axis=1)
+def _warps_per_block(E: BatchedBlockEnv, m: np.ndarray, f: bool):
+    """The region warp vector of mask ``m``: the active-warp count per
+    block as an int64 ``(blocks,)`` vector, and its total.  A full mask
+    (``f``) has every warp of every row active."""
+    if f:
+        nb = m.shape[0]
+        return np.full(nb, E.nwarps, dtype=np.int64), nb * E.nwarps
+    aw = (np.add.reduceat(m, E.warp_starts, axis=1) > 0).sum(axis=1)
+    return aw, int(aw.sum())
 
 
 #: per uniformity level: the thread-geometry specials that vary across
@@ -458,11 +473,13 @@ def _uniform_stmts(kernel, level: str) -> frozenset:
 def _compact_env(env: BatchedBlockEnv, idx: np.ndarray) -> BatchedBlockEnv:
     """Clone ``env`` with the block axis sliced to rows ``idx``.
 
-    Used by the loop statements once most blocks of a chunk have exited:
-    the per-statement NumPy cost then tracks the *live* block count
-    instead of the chunk width.  Shared memory is NOT sliced — ``rows``
-    keeps the original chunk-row index per surviving block, so shared
-    accesses land in the right rows of the full ``(chunk, size)`` arrays.
+    Used by the branch and loop helpers once at most half the rows of a
+    chunk are live (a sparsely taken branch, a loop most blocks have
+    left): the per-statement NumPy cost then tracks the *live* block
+    count instead of the chunk width.  Shared memory is NOT sliced —
+    ``rows`` keeps the original chunk-row index per surviving block, so
+    shared accesses land in the right rows of the full ``(chunk, size)``
+    arrays.
     All id-carrying fields (``bx``, ``warpkey``, ``block_ids``) keep
     their unsliced values, so counters, segment-reuse tags and fault RNG
     substreams are unaffected by the slice.
@@ -498,9 +515,10 @@ def _expand_env(env: BatchedBlockEnv, sub: BatchedBlockEnv,
 
     Rows outside ``idx`` had no active lanes while ``sub`` ran, so their
     register values are untouched — exactly what the reference executor
-    leaves for a block that already exited the loop.  Registers first
-    assigned inside the loop materialize at full width here, zero-filled
-    where never written, matching ``_assign`` on an uncompacted chunk.
+    leaves for a block that skipped the branch or already exited the
+    loop.  Registers first assigned in the compacted region materialize
+    at full width here, zero-filled where never written, matching
+    :func:`_set` on an uncompacted chunk.
     """
     env.steps = sub.steps
     shp = env.block_mask.shape
@@ -581,9 +599,19 @@ def _reg(E, name: str, dtype, shp) -> np.ndarray:
 
 def _massign(E, name: str, v, m: np.ndarray) -> None:
     """Masked register assignment — ``executor._assign`` minus the
-    full-mask branch (the generated code dispatches that statically)."""
+    full-mask branch (:func:`_set` dispatches that)."""
     v = np.asarray(v)
     np.copyto(_reg(E, name, v.dtype, m.shape), v, where=m)
+
+
+def _set(E, name: str, v, m: np.ndarray, f: bool, owned: bool = False):
+    """Register assignment under a region mask: a full region (``f``)
+    binds a fresh array — ``owned`` says ``v`` already is one (a ufunc
+    output) — and a partial one copies ``v`` in where ``m`` is set."""
+    if f:
+        E.regs[name] = (_full if owned else _fresh)(v, m.shape)
+    else:
+        _massign(E, name, v, m)
 
 
 def _cast(v, dt):
@@ -601,15 +629,6 @@ def _param(E, name: str):
             f"kernel parameter {name!r} not bound at launch") from None
 
 
-def _arow(attr, sid, execs, lanes, slots):
-    """Attribution row ``sid``, charged one execution of its statement."""
-    row = attr.row(sid)
-    row.execs += execs
-    row.lanes += lanes
-    row.warp_slots += slots
-    return row
-
-
 def _act_of(v, m: np.ndarray, mi) -> np.ndarray:
     """An index or value, broadcast to the chunk shape, at the active
     lanes in flattened (block, lane) order."""
@@ -621,6 +640,11 @@ def _act_of(v, m: np.ndarray, mi) -> np.ndarray:
     if v.flags.c_contiguous:
         return v.reshape(-1).take(mi)
     return v[m]
+
+
+def _lanes(m: np.ndarray, f: bool):
+    """Flat indices of the active lanes of ``m``; None when it is full."""
+    return None if f else m.reshape(-1).nonzero()[0]
 
 
 def _wk(E, mi) -> np.ndarray:
@@ -849,44 +873,219 @@ def _shfl(E, dst, src, delta, ws, m, full) -> None:
         _massign(E, dst, v, m)
 
 
-def _sync(E, m, aws, row) -> None:
-    """Barrier: the divergence check always runs; the counters only on
-    a counted launch (``aws`` is None on a values-only one)."""
-    anyb = m.any(axis=1)
-    allb = m.all(axis=1)
-    partial = anyb & ~allb
+def _sync(m) -> None:
+    """Barrier: a block with some but not all lanes active raises (the
+    region charge, :func:`_charge`, counts the arrivals)."""
+    partial = m.any(axis=1) & ~m.all(axis=1)
     if partial.any():
         bad = int(partial.nonzero()[0][0])
         raise BarrierDivergenceError(
             "__syncthreads() executed under divergent control flow "
             f"({int(m[bad].sum())}/{m.shape[1]} threads active)"
         )
+
+
+# --------------------------------------------------------------------------
+# control flow: region charge, branches and loops
+# --------------------------------------------------------------------------
+#
+# A *region* is a straight-line statement list run under one mask.  Both
+# dispatchers run one as ``body(E, m, f, aw, aws)``: ``m`` the
+# (blocks, threads) mask, ``f`` whether it is full, ``aw``/``aws`` the
+# region warp vector and its total (None on a values-only launch).  The
+# batched executor passes its block closures, the trace executor the
+# functions its generated source defines per region.  A region body
+# starts with :func:`_charge`; loop conditions are callables ``cond(E)``
+# because a loop re-evaluates them in a possibly compacted environment.
+
+def _charge(E, m, f, aws, sids: tuple, syncs: tuple = ()) -> None:
+    """Charge one run of a straight-line region: each of its statements
+    (``sids``) one warp slot per active warp, each barrier (``syncs``,
+    also in ``sids``) one arrival per block with an active lane, and on
+    an attribution launch their rows (``execs`` the blocks with an
+    active lane, as the reference closure runs once per such block).
+    Nothing on a values-only launch (``aws`` None)."""
     if aws is None:
         return
-    E.stats.barriers += int(anyb.sum())
-    E.stats.warp_inst_slots += aws
-    if row is not None:
-        arrived = int(anyb.sum())
-        row.execs += arrived
-        row.lanes += int(m.sum())
-        row.warp_slots += aws
-        row.barrier_arrivals += arrived
-        row.barrier_wait_slots += aws
+    st = E.stats
+    st.warp_inst_slots += aws * len(sids)
+    A = E.attr
+    if A is None and not syncs:
+        return
+    eb = m.shape[0] if f else int(m.any(axis=1).sum())
+    st.barriers += eb * len(syncs)
+    if A is not None:
+        el = m.size if f else int(m.sum())
+        for sid in sids:
+            row = A.row(sid)
+            row.execs += eb
+            row.lanes += el
+            row.warp_slots += aws
+        for sid in syncs:
+            row = A.row(sid)
+            row.barrier_arrivals += eb
+            row.barrier_wait_slots += aws
+
+
+def _branch(E, m, aw, aws, body) -> None:
+    """Run one branch region, row-compacted when mostly idle.
+
+    The reference executor runs a branch only for blocks whose lanes
+    take it; an uncompacted chunk pays full-width array ops for every
+    statement regardless.  When at most half the chunk's rows have an
+    active lane, the region runs on a :func:`_compact_env` slice of
+    them — invisible to results and counters (idle rows touch no
+    memory, no counter and no register) — so sparsely taken branches (a
+    last-block reduction epilogue, a ``tid == 0`` handoff) cost what
+    they cover."""
+    live = m.any(axis=1)
+    lc = int(live.sum())
+    if not lc:
+        return
+    if lc * 2 > m.shape[0]:
+        body(E, m, bool(m.all()), aw, aws)
+        return
+    idx = live.nonzero()[0]
+    sub = _compact_env(E, idx)
+    m = m[idx]
+    body(sub, m, bool(m.all()), None if aw is None else aw[idx], aws)
+    _expand_env(E, sub, idx)
+
+
+def _if(E, m, f, aw, aws, c, sid, then, orelse) -> None:
+    """``if (c) then else orelse`` in region (``m``, ``f``, ``aw``,
+    ``aws``).  A condition true on every lane runs ``then`` as the
+    parent region (no warp has an else side, so no divergence);
+    otherwise a counted launch charges the warps with lanes on both
+    sides and derives each side's warp vector from the same split, and
+    each side runs through :func:`_branch`.  ``orelse`` may be None."""
+    c = _bc(_truthy(np.asarray(c)), m.shape)
+    if c.all():
+        then(E, m, f, aw, aws)
+        return
+    mt = m & c
+    me = m & ~c
+    awt = awe = awst = awse = None
+    if aws is not None:
+        # divergence: warps with lanes on both sides
+        t = np.add.reduceat(mt, E.warp_starts, axis=1) > 0
+        e = np.add.reduceat(me, E.warp_starts, axis=1) > 0
+        d = int((t & e).sum())
+        if d:
+            E.stats.divergent_branches += d
+            if E.attr is not None:
+                E.attr.row(sid).divergence_splits += d
+        awt = t.sum(axis=1)
+        awst = int(awt.sum())
+        if orelse is not None:
+            awe = e.sum(axis=1)
+            awse = int(awe.sum())
+    _branch(E, mt, awt, awst, then)
+    if orelse is not None:
+        _branch(E, me, awe, awse, orelse)
+
+
+def _step(E, live: int) -> None:
+    """One loop iteration of ``live`` blocks: the watchdog currency."""
+    E.steps += live
+    if E.steps > E.watchdog_budget:
+        _watchdog_trip(E)
+
+
+def _unwind(E, stack: list) -> None:
+    """Pop every compaction level of a loop, innermost first."""
+    for parent, idx in reversed(stack):
+        _expand_env(parent, E, idx)
+        E = parent
+
+
+def _while(E, m, sid, cond, body) -> None:
+    """``while (cond) body`` under region mask ``m``.
+
+    Lanes leave as their condition fails; the body runs under the lanes
+    still in, with their warp vector, and each re-check charges it
+    again.  Once at most half the rows are live the working set is
+    compacted to them (``m`` only ever shrinks), and the levels unwind
+    when the last block leaves.  Under injected stuck warps a block
+    whose exit would fire keeps its previous mask: its loop never ends,
+    and the watchdog trips."""
+    cnt = E.log is not None
+    m = m & _bc(_truthy(np.asarray(cond(E))), m.shape)
+    row = E.attr.row(sid) if cnt and E.attr is not None else None
+    stack = []
+    live = m.any(axis=1)
+    lc = int(live.sum())
+    while lc:
+        if lc * 2 <= m.shape[0]:
+            idx = live.nonzero()[0]
+            stack.append((E, idx))
+            E = _compact_env(E, idx)
+            m = m[idx]
+        _step(E, lc)
+        f = bool(m.all())
+        aw, aws = _warps_per_block(E, m, f) if cnt else (None, None)
+        body(E, m, f, aw, aws)
+        m2 = m & _bc(_truthy(np.asarray(cond(E))), m.shape)
+        if E.stuck:
+            dead = m.any(axis=1) & ~m2.any(axis=1)
+            if dead.any():
+                m2 = np.where(dead[:, None], m, m2)
+        m = m2
+        if cnt:
+            E.stats.warp_inst_slots += aws  # re-check
+            if row is not None:
+                row.warp_slots += aws
+        live = m.any(axis=1)
+        lc = int(live.sum())
+    _unwind(E, stack)
+
+
+def _uwhile(E, m, aw, sid, cond, body) -> None:
+    """A block-uniform loop under region (``m``, ``aw``): a block stays
+    in while any of its lanes' condition holds, and its whole region
+    mask runs the body (``aw`` stays its warp vector).  Steps, watchdog,
+    stuck warps (no block leaves), compaction and re-check charges as in
+    :func:`_while`."""
+    cnt = E.log is not None
+    row = E.attr.row(sid) if cnt and E.attr is not None else None
+    live = m.any(axis=1)
+    stack = []
+    while True:
+        _step(E, int(live.sum()))
+        c = _bc(_truthy(np.asarray(cond(E))), m.shape)
+        if not E.stuck:
+            live = live & (m & c).any(axis=1)
+        lc = int(live.sum())
+        if not lc:
+            break
+        if lc * 2 <= m.shape[0]:
+            idx = live.nonzero()[0]
+            stack.append((E, idx))
+            E = _compact_env(E, idx)
+            m, live = m[idx], live[idx]
+            if cnt:
+                aw = aw[idx]
+        lf = bool(live.all())
+        bm = m if lf else m & live[:, None]
+        baw = baws = None
+        if cnt:
+            baw = aw if lf else np.where(live, aw, 0)
+            baws = int(baw.sum())
+        body(E, bm, bool(bm.all()), baw, baws)
+        if cnt:
+            E.stats.warp_inst_slots += baws  # re-check
+            if row is not None:
+                row.warp_slots += baws
+    _unwind(E, stack)
 
 
 # --------------------------------------------------------------------------
 # the batched executor: block-axis closures over the shared runtime
 # --------------------------------------------------------------------------
 
-def _active(m: np.ndarray):
-    """Flat indices of the active lanes of ``m``; None while it is full."""
-    return None if m.all() else m.reshape(-1).nonzero()[0]
-
-
-def _mrow(attr, sid, m: np.ndarray, aws: int):
-    """:func:`_arow` charged for the blocks and lanes active in ``m``
-    (the reference closure runs once per block with an active lane)."""
-    return _arow(attr, sid, int(m.any(axis=1).sum()), int(m.sum()), aws)
+#: RHS roots guaranteed to produce freshly-owned arrays (ufunc outputs):
+#: a full-region assignment can bind them without a defensive copy
+_OWNED_ROOTS = (K.Bin, K.Un, K.Call, K.Select)
 
 
 def _fault_rows(hook, site: str, E, name: str, m: np.ndarray) -> None:
@@ -907,39 +1106,29 @@ def _trace_events(E, kind: str, buf: str, m: np.ndarray) -> None:
 def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
                           uniform_ids: frozenset = frozenset(),
                           slot_sids: dict | None = None):
-    """Compile one statement to ``fn(env, mask, aw, aws)`` over a chunk.
+    """Compile one statement to ``fn(E, m, f, aw, aws)`` over a chunk.
 
-    ``mask`` is ``(blocks, threads)`` bool; ``aw`` is the per-block
-    active-warp vector of the enclosing region (0 for blocks that the
-    reference executor would not run the statement for) and ``aws`` its
-    precomputed total — the region runner sums ``aw`` once so straight-
-    line statements don't each pay the reduction.  ``uniform_ids`` holds
-    the ``"block"`` :func:`_uniform_stmts` verdicts; ``slot_sids`` maps
-    each global access's segment-reuse slot back to its stamped ``sid``
-    (for the launch-end reuse correction's per-statement attribution).
+    The arguments are those of its region (see :func:`_charge`), which
+    has already charged the statement's warp slots and attribution row.
+    ``uniform_ids`` holds the ``"block"`` :func:`_uniform_stmts`
+    verdicts; ``slot_sids`` maps each global access's segment-reuse slot
+    back to its stamped ``sid`` (for the launch-end reuse correction's
+    per-statement attribution).
 
     Memory statements, barriers and shuffles call the shared runtime
-    helpers with per-access gathers; the fault hooks and TraceEvent
-    appends follow the helper.  Attribution parity with the reference
-    executor: ``execs`` counts blocks with at least one active lane (the
-    reference closure runs exactly once per such block),
-    ``lanes``/``warp_slots`` are the lane and warp-slot sums the
-    reference path accumulates block by block, and the memory counters
-    reach each statement's row from the access log's folds (see
+    helpers with per-access gathers, branches and loops the control-flow
+    helpers with the compiled block closures; the fault hooks and
+    TraceEvent appends follow the helper.  The memory counters reach
+    each statement's attribution row from the access log's folds (see
     :class:`~repro.gpu.memory.AccessLog`).
     """
     sid = s.sid
-    if isinstance(s, K.Comment):
-        return lambda env, mask, aw, aws: None
-
     if isinstance(s, K.Assign):
         fv = _compile_expr(s.value)
         name = s.dst
-        def do_assign(env, mask, aw, aws):
-            env.stats.warp_inst_slots += aws
-            if env.attr is not None:
-                _mrow(env.attr, sid, mask, aws)
-            _assign(env, name, fv(env), mask)
+        owned = isinstance(s.value, _OWNED_ROOTS)
+        def do_assign(E, m, f, aw, aws):
+            _set(E, name, fv(E), m, f, owned)
         return do_assign
 
     if isinstance(s, (K.GLoad, K.GStore)):
@@ -952,81 +1141,68 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
         name, buf = s.dst, s.buf
         uni = id(s) in uniform_ids
         load = _gload_u if uni else _gload
-        def do_gload(env, mask, aw, aws):
-            gm = env.gmem
-            env.stats.warp_inst_slots += aws
-            a, fr = env.attr, gm.faults
+        def do_gload(E, m, f, aw, aws):
+            gm = E.gmem
+            a, fr = E.attr, gm.faults
             if a is not None and fr is not None:
                 f0 = len(fr.records)
-            chk = None if env.check is None else env.check.get(buf)
-            mi = _active(mask)
-            wk = None if env.log is None else _wk(env, mi)
+            chk = None if E.check is None else E.check.get(buf)
+            mi = _lanes(m, f)
+            wk = None if E.log is None else _wk(E, mi)
             # block ids feed only the hazard check and the counters (and
             # a full-mask uniform load takes one per block outright)
             bf = None
             if (wk is not None or chk is not None) \
                     and (mi is not None or not uni):
-                bf = _lanes_of(env.block_ids, mi, mask.shape[1])
-            load(env, name, gm[buf], fi(env), mask, mi, wk, bf, slot, chk)
+                bf = _lanes_of(E.block_ids, mi, m.shape[1])
+            load(E, name, gm[buf], fi(E), m, mi, wk, bf, slot, chk)
             if fr is not None:
-                _fault_rows(fr.on_gload, buf, env, name, mask)
-            if a is not None:
-                r = _mrow(a, sid, mask, aws)
-                if fr is not None:
-                    r.fault_events += len(fr.records) - f0
-            if env.trace:
-                _trace_events(env, "gload", buf, mask)
+                _fault_rows(fr.on_gload, buf, E, name, m)
+                if a is not None:
+                    a.row(sid).fault_events += len(fr.records) - f0
+            if E.trace:
+                _trace_events(E, "gload", buf, m)
         return do_gload
 
     if isinstance(s, K.GStore):
         fi, fv = _compile_expr(s.index), _compile_expr(s.value)
         buf = s.buf
-        def do_gstore(env, mask, aw, aws):
-            env.stats.warp_inst_slots += aws
-            chk = None if env.check is None else env.check.get(buf)
-            mi = _active(mask)
-            wk = None if env.log is None else _wk(env, mi)
+        def do_gstore(E, m, f, aw, aws):
+            chk = None if E.check is None else E.check.get(buf)
+            mi = _lanes(m, f)
+            wk = None if E.log is None else _wk(E, mi)
             bf = None if wk is None and chk is None \
-                else _lanes_of(env.block_ids, mi, mask.shape[1])
-            _gstore(env, env.gmem[buf], fi(env), fv(env), mask, mi, wk, bf,
-                    slot, chk)
-            if env.attr is not None:
-                _mrow(env.attr, sid, mask, aws)
-            if env.trace:
-                _trace_events(env, "gstore", buf, mask)
+                else _lanes_of(E.block_ids, mi, m.shape[1])
+            _gstore(E, E.gmem[buf], fi(E), fv(E), m, mi, wk, bf, slot, chk)
+            if E.trace:
+                _trace_events(E, "gstore", buf, m)
         return do_gstore
 
     if isinstance(s, K.SLoad):
         fi = _compile_expr(s.index)
         name, arr = s.dst, s.arr
-        def do_sload(env, mask, aw, aws):
-            env.stats.warp_inst_slots += aws
-            a, fr = env.attr, env.gmem.faults
+        def do_sload(E, m, f, aw, aws):
+            a, fr = E.attr, E.gmem.faults
             if a is not None and fr is not None:
                 f0 = len(fr.records)
-            mi = _active(mask)
-            wk = None if env.log is None else _wk(env, mi)
-            _sload(env, name, arr, fi(env), mask, mi, wk,
-                   _lanes_of(env.rows[:, 0], mi, mask.shape[1]), sid)
+            mi = _lanes(m, f)
+            wk = None if E.log is None else _wk(E, mi)
+            _sload(E, name, arr, fi(E), m, mi, wk,
+                   _lanes_of(E.rows[:, 0], mi, m.shape[1]), sid)
             if fr is not None:
-                _fault_rows(fr.on_sload, arr, env, name, mask)
-            if a is not None:
-                r = _mrow(a, sid, mask, aws)
-                if fr is not None:
-                    r.fault_events += len(fr.records) - f0
+                _fault_rows(fr.on_sload, arr, E, name, m)
+                if a is not None:
+                    a.row(sid).fault_events += len(fr.records) - f0
         return do_sload
 
     if isinstance(s, K.SStore):
         fi, fv = _compile_expr(s.index), _compile_expr(s.value)
         arr = s.arr
-        def do_sstore(env, mask, aw, aws):
-            env.stats.warp_inst_slots += aws
-            mi = _active(mask)
-            wk = None if env.log is None else _wk(env, mi)
-            _sstore(env, arr, fi(env), fv(env), mask, mi, wk,
-                    _lanes_of(env.rows[:, 0], mi, mask.shape[1]), sid)
-            if env.attr is not None:
-                _mrow(env.attr, sid, mask, aws)
+        def do_sstore(E, m, f, aw, aws):
+            mi = _lanes(m, f)
+            wk = None if E.log is None else _wk(E, mi)
+            _sstore(E, arr, fi(E), fv(E), m, mi, wk,
+                    _lanes_of(E.rows[:, 0], mi, m.shape[1]), sid)
         return do_sstore
 
     if isinstance(s, K.If):
@@ -1035,137 +1211,38 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
                                        slot_sids)
         felse = _compile_block_batched(s.orelse, device, uniform_ids,
                                        slot_sids) if s.orelse else None
-        def do_if(env, mask, aw, aws):
-            env.stats.warp_inst_slots += aws
-            c = _truthy(np.asarray(fc(env)))
-            if c.shape != mask.shape:
-                c = np.broadcast_to(c, mask.shape)
-            m_then = mask & c
-            m_else = mask & ~c
-            t = np.add.reduceat(m_then, env.warp_starts, axis=1) > 0
-            e = np.add.reduceat(m_else, env.warp_starts, axis=1) > 0
-            d = int((t & e).sum())
-            env.stats.divergent_branches += d
-            if env.attr is not None:
-                _mrow(env.attr, sid, mask, aws).divergence_splits += d
-            if m_then.any():
-                fthen(env, m_then, t.sum(axis=1))
-            if felse is not None and m_else.any():
-                felse(env, m_else, e.sum(axis=1))
+        def do_if(E, m, f, aw, aws):
+            _if(E, m, f, aw, aws, fc(E), sid, fthen, felse)
         return do_if
 
     if isinstance(s, K.While):
         fc = _compile_expr(s.cond)
         fbody = _compile_block_batched(s.body, device, uniform_ids,
                                        slot_sids)
-        def do_while(env, mask, aw, aws):
-            c = _truthy(np.asarray(fc(env)))
-            if c.shape != mask.shape:
-                c = np.broadcast_to(c, mask.shape)
-            m = mask & c
-            env.stats.warp_inst_slots += aws  # first check
-            r = None
-            if env.attr is not None:
-                r = _mrow(env.attr, sid, mask, aws)
-            stack = []  # (parent env, kept rows) per compaction level
-            live = m.any(axis=1)
-            lc = int(live.sum())
-            while lc:
-                if lc * 2 <= m.shape[0]:
-                    # most blocks have exited (m only ever shrinks):
-                    # slice the working set to the live rows
-                    idx = live.nonzero()[0]
-                    stack.append((env, idx))
-                    env = _compact_env(env, idx)
-                    m = m[idx]
-                env.steps += lc
-                if env.steps > env.watchdog_budget:
-                    _watchdog_trip(env)
-                maw = _warps_per_block(env, m)
-                maws = int(maw.sum())
-                fbody(env, m, maw, maws)
-                c = _truthy(np.asarray(fc(env)))
-                if c.shape != m.shape:
-                    c = np.broadcast_to(c, m.shape)
-                m2 = m & c
-                if env.stuck:
-                    # injected stuck warps: a block whose exit would fire
-                    # keeps its previous mask — its loop never ends
-                    dead = m.any(axis=1) & ~m2.any(axis=1)
-                    if dead.any():
-                        m2 = np.where(dead[:, None], m, m2)
-                m = m2
-                env.stats.warp_inst_slots += maws  # re-check
-                if r is not None:
-                    r.warp_slots += maws
-                live = m.any(axis=1)
-                lc = int(live.sum())
-            for parent, idx in reversed(stack):
-                _expand_env(parent, env, idx)
-                env = parent
+        def do_while(E, m, f, aw, aws):
+            _while(E, m, sid, fc, fbody)
         return do_while
 
     if isinstance(s, K.UniformWhile):
         fc = _compile_expr(s.cond)
         fbody = _compile_block_batched(s.body, device, uniform_ids,
                                        slot_sids)
-        def do_uwhile(env, mask, aw, aws):
-            env.stats.warp_inst_slots += aws
-            live = mask.any(axis=1)
-            r = None
-            if env.attr is not None:
-                r = _arow(env.attr, sid, int(live.sum()), int(mask.sum()),
-                          aws)
-            if not live.any():
-                return
-            stack = []  # (parent env, kept rows) per compaction level
-            while True:
-                env.steps += int(live.sum())
-                if env.steps > env.watchdog_budget:
-                    _watchdog_trip(env)
-                c = _truthy(np.asarray(fc(env)))
-                if c.shape != mask.shape:
-                    c = np.broadcast_to(c, mask.shape)
-                if not env.stuck:
-                    live = live & (mask & c).any(axis=1)
-                lc = int(live.sum())
-                if not lc:
-                    break
-                if lc * 2 <= mask.shape[0]:
-                    # most blocks have left the loop (live only shrinks):
-                    # slice the working set to the live rows
-                    idx = live.nonzero()[0]
-                    stack.append((env, idx))
-                    env = _compact_env(env, idx)
-                    mask, aw, live = mask[idx], aw[idx], live[idx]
-                bmask = mask & live[:, None]
-                baw = np.where(live, aw, 0)
-                baws = int(baw.sum())
-                fbody(env, bmask, baw, baws)
-                env.stats.warp_inst_slots += baws
-                if r is not None:
-                    r.warp_slots += baws
-            for parent, idx in reversed(stack):
-                _expand_env(parent, env, idx)
-                env = parent
+        def do_uwhile(E, m, f, aw, aws):
+            _uwhile(E, m, aw, sid, fc, fbody)
         return do_uwhile
 
     if isinstance(s, K.Sync):
-        def do_sync(env, mask, aw, aws):
-            _sync(env, mask, None if env.log is None else aws,
-                  None if env.attr is None else env.attr.row(sid))
-            if env.trace:
-                _trace_events(env, "sync", "", mask)
+        def do_sync(E, m, f, aw, aws):
+            _sync(m)
+            if E.trace:
+                _trace_events(E, "sync", "", m)
         return do_sync
 
     if isinstance(s, K.ShflDown):
         dst, src, delta = s.dst, s.src, s.delta
         ws = device.warp_size
-        def do_shfl(env, mask, aw, aws):
-            env.stats.warp_inst_slots += aws
-            if env.attr is not None:
-                _mrow(env.attr, sid, mask, aws)
-            _shfl(env, dst, src, delta, ws, mask, bool(mask.all()))
+        def do_shfl(E, m, f, aw, aws):
+            _shfl(E, dst, src, delta, ws, m, f)
         return do_shfl
 
     if isinstance(s, K.AtomicUpdate):
@@ -1176,25 +1253,19 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
         except KeyError:
             raise SimulationError(
                 f"no atomic support for operator {s.op!r}") from None
-        def do_atomic(env, mask, aw, aws):
-            st = env.stats
-            st.warp_inst_slots += aws
-            idx = np.asarray(fi(env))
-            if idx.shape != mask.shape:
-                idx = np.broadcast_to(idx, mask.shape)
-            val = np.asarray(fv(env))
-            if val.shape != mask.shape:
-                val = np.broadcast_to(val, mask.shape)
-            a = env.attr
+        def do_atomic(E, m, f, aw, aws):
+            st = E.stats
+            idx = _bc(np.asarray(fi(E)), m.shape)
+            val = _bc(np.asarray(fv(E)), m.shape)
+            a = E.attr
             if a is not None:
                 g0, b0 = st.global_transactions, st.global_bytes
                 d0 = st.dram_bytes
             # ufunc.at applies duplicates in flattened (block, thread)
             # order — the same combine order as blocks run one at a time
-            env.gmem.atomic_update(buf, idx, val, mask, env.warpkey,
-                                   st, combine)
+            E.gmem.atomic_update(buf, idx, val, m, E.warpkey, st, combine)
             if a is not None:
-                r = _mrow(a, sid, mask, aws)
+                r = a.row(sid)
                 r.global_transactions += st.global_transactions - g0
                 r.global_bytes += st.global_bytes - b0
                 r.dram_bytes += st.dram_bytes - d0
@@ -1207,13 +1278,17 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
 def _compile_block_batched(stmts: tuple, device: DeviceProperties,
                            uniform_ids: frozenset = frozenset(),
                            slot_sids: dict | None = None):
+    """Compile a region to ``run(E, m, f, aw, aws)``: the region charge,
+    then its statements' closures in order."""
+    stmts = [s for s in stmts if not isinstance(s, K.Comment)]
     fns = [_compile_stmt_batched(s, device, uniform_ids, slot_sids)
            for s in stmts]
-    def run(env, mask, aw, aws=None):
-        if aws is None:
-            aws = int(aw.sum())
-        for f in fns:
-            f(env, mask, aw, aws)
+    sids = tuple(s.sid for s in stmts)
+    syncs = tuple(s.sid for s in stmts if isinstance(s, K.Sync))
+    def run(E, m, f, aw, aws):
+        _charge(E, m, f, aws, sids, syncs)
+        for fn in fns:
+            fn(E, m, f, aw, aws)
     return run
 
 
@@ -1309,9 +1384,10 @@ def run_batched(ck, gmem: GlobalMemory, grid_dim: int,
             ck.kernel.body, ck.device, _uniform_stmts(ck.kernel, "block"),
             ck._slot_sids)
 
-    def body(env):
-        closures(env, env.block_mask,
-                 np.full(len(env.block_ids), env.nwarps, dtype=np.int64))
+    def body(E):
+        m = E.block_mask
+        closures(E, m, True, *(_warps_per_block(E, m, True)
+                                if E.log is not None else (None, None)))
 
     return _run_chunks(ck, gmem, grid_dim, block_dim, stats, params, budget,
                        block_batch, check, count, body, ck._slot_sids,

@@ -163,7 +163,10 @@ def launch(kernel: Kernel, gmem: GlobalMemory, *, grid_dim: int,
     forwarded to :meth:`~repro.gpu.executor.CompiledKernel.run` — the
     former arms fault injection for this launch, the latter overrides the
     per-launch loop-step budget.  ``mode`` / ``block_batch`` select the
-    executor path (batched by default) and its block chunk size.
+    executor path and its block chunk size; ``mode=None`` is the tiered
+    default of :meth:`~repro.gpu.executor.CompiledKernel.run` (batched
+    for a kernel's first launch, trace for later ones it can honor)
+    unless ``REPRO_EXECUTOR`` pins a mode.
 
     ``attribution=True`` additionally fills a per-statement
     :class:`~repro.gpu.events.AttributionTable` on ``stats.attribution``

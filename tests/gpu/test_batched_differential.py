@@ -171,3 +171,92 @@ class TestGoldenWorkerVector:
         assert counters(res.kernel_stats["acc_region_main"]) \
             == self.GOLDEN_MAIN
         assert res.outputs["out"].tobytes().hex() == self.GOLDEN_OUT_HEX
+
+
+class TestControlFlowChunkEdges:
+    """Branches and loops at chunk edges: a batched first launch, a
+    counted trace re-launch and the reference executor agree on results,
+    KernelStats and attribution tables at every chunk size, and batched
+    compacts a sparsely taken branch through the shared branch helper."""
+
+    #: 23 gang iterations over 8 gangs: the gang loop (a UniformWhile,
+    #: it holds a block-wide reduction) runs 3 or 2 times per block; the
+    #: vector loop (a While) runs ``(j % 5) * 40 / 32`` times, so blocks
+    #: leave it at different trip counts; ``j % 7 == 3`` is taken by at
+    #: most one block per gang iteration and holds a ``tid == 0`` store
+    SPARSE_SRC = """
+float a[n];
+float out[m];
+float edge[m];
+#pragma acc parallel copyin(a) copyout(out, edge)
+{
+  #pragma acc loop gang
+  for (j = 0; j < m; j++) {
+    float s = 0.0f;
+    #pragma acc loop vector reduction(+:s)
+    for (k = 0; k < (j % 5) * 40; k++)
+      s += a[j + k];
+    out[j] = s;
+    if (j % 7 == 3) {
+      edge[j] = s * 2.0f;
+    }
+  }
+}
+"""
+
+    def _programs(self):
+        rng = np.random.default_rng(11)
+        sparse = acc.compile(self.SPARSE_SRC, num_gangs=8, num_workers=1,
+                             vector_length=32, pipeline="optimized")
+        yield sparse, dict(a=rng.random(400).astype(np.float32),
+                           out=np.zeros(23, np.float32),
+                           edge=np.zeros(23, np.float32), m=23)
+        # the fused finish: a last-block epilogue, then tid == 0
+        case = make_case("gang", "+", "float", size=160)
+        gang = acc.compile(case.source, num_gangs=8, num_workers=2,
+                           vector_length=32, pipeline="optimized")
+        yield gang, case.make_inputs(np.random.default_rng(12))
+
+    @staticmethod
+    def _attribution(res):
+        return {name: st.attribution.as_dict()
+                for name, st in res.kernel_stats.items()}
+
+    @pytest.mark.parametrize("block_batch", [1, 3, None])
+    def test_three_executors_identical(self, block_batch, monkeypatch):
+        import sys
+
+        from repro.gpu import executor_batched
+        from repro.gpu import kernelir as K
+
+        callers = []
+        real = executor_batched._compact_env
+
+        def compact(env, idx):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real(env, idx)
+
+        monkeypatch.setattr(executor_batched, "_compact_env", compact)
+        progs = list(self._programs())
+        kinds = {type(s) for prog, _ in progs
+                 for k in prog.lowered.kernels
+                 for s, _ in K.walk_stmts(k.body)}
+        assert {K.If, K.While, K.UniformWhile} <= kinds
+        for prog, inputs in progs:
+            run = dict(attribution=True, block_batch=block_batch)
+            ref = prog.run(executor_mode="reference", **run, **inputs)
+            del callers[:]
+            first = prog.run(executor_mode="batched", **run, **inputs)
+            batched_callers = list(callers)
+            again = prog.run(executor_mode="trace", **run, **inputs)
+            assert {(st.executor, st.counters) for st in
+                    first.kernel_stats.values()} == {("batched", "counted")}
+            assert {(st.executor, st.counters) for st in
+                    again.kernel_stats.values()} == {("trace", "counted")}
+            for res in (first, again):
+                assert_identical(res, ref)
+                assert self._attribution(res) == self._attribution(ref)
+            if block_batch != 1:
+                # one row per chunk cannot be compacted; wider chunks
+                # leave the sparse branch to at most half their rows
+                assert "_branch" in batched_callers

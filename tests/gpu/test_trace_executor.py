@@ -299,6 +299,12 @@ UNIFORMITY_PIN = (50, "4b131fd8444cbafd6a841f168ec9cdb4"
 TRACE_REPORT_PIN = (50, "f0234f6283c02bb1efee9723f2ee1d12"
                         "969107ea79fbe9d7e95a7cdf6f14c365")
 
+#: AST nodes of the generated trace source of every trace-eligible
+#: kernel of the 42 Table 2 cells at 192×8×128 (38 kernels).  Emitting
+#: the control-flow rules inline took 379,606; the shared helpers take
+#: the value below, which a change may lower but not exceed
+TRACE_AST_NODES_MAX = 106_718
+
 
 def _pin_corpus() -> list[tuple[str, str, dict]]:
     """``(label, source, geometry)``: the 42 Table 2 cells, both heat
@@ -365,3 +371,23 @@ class TestVerdictPins:
             lowered=SimpleNamespace(kernels=[k]))) for _, k in kernels]
         digest = hashlib.sha256("\n".join(report).encode()).hexdigest()
         assert (len(kernels), digest) == TRACE_REPORT_PIN
+
+
+class TestGeneratedSourceSize:
+    """Branches, loops and counters are shared helpers called from the
+    generated code, not rules emitted inline: the source stays small."""
+
+    def test_table2_ast_nodes_bounded(self):
+        import ast
+
+        total = kernels = 0
+        for case in generate_cases(size=4096):
+            prog = acc.compile(case.source, pipeline="optimized",
+                               **PIN_GEOM)
+            for k in prog.lowered.kernels:
+                if analyze_trace_safety(k).eligible:
+                    src = emit_trace_source(k, prog.device)
+                    total += sum(1 for _ in ast.walk(ast.parse(src)))
+                    kernels += 1
+        assert kernels == 38
+        assert total <= TRACE_AST_NODES_MAX, total
