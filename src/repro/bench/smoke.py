@@ -29,6 +29,14 @@ oracle) on the same inputs; a matmul re-launch must also flush its
 access log mid-launch, so that oracle covers segment reuse chained
 across flushes.
 
+The ``scan_loops`` section is an identity check too: on the ``gang
+worker vector [+] float`` cell at 192x8x128, whose fused finish loop
+accumulates 196,608 partials in 768 iterations per thread, the batched
+first launch, a counted trace re-launch and a memo hit must run every
+scan loop of the kernel along its iteration axis, never through the
+iterative loop helper, and each must equal the reference executor (the
+oracle) on the same inputs.
+
 Usage::
 
     python -m repro.bench.smoke --out BENCH_table2.json    # write baseline
@@ -388,6 +396,78 @@ def _counter_memo_guard() -> dict:
     }
 
 
+@contextlib.contextmanager
+def _iterative_loops():
+    """Record the statement ids the iterative loop helper runs while the
+    block is active (the batched closures and the scan helper's fallback
+    call it as a module global; code generated inside the block binds
+    it by name)."""
+    from repro.gpu import executor_batched, executor_trace
+
+    sids = []
+    real = executor_batched._while
+
+    def spy(E, m, sid, cond, body):
+        sids.append(sid)
+        return real(E, m, sid, cond, body)
+
+    try:
+        executor_batched._while = spy
+        executor_trace._BASE_GLOBALS["_while"] = spy
+        yield sids
+    finally:
+        executor_batched._while = real
+        executor_trace._BASE_GLOBALS["_while"] = real
+
+
+def _scan_loop_guard() -> dict:
+    """The fused finish loop runs along its iteration axis (not timed).
+
+    The ``gang worker vector [+] float`` cell at 192x8x128: its batched
+    first launch, a counted trace re-launch at a second problem size and
+    a memo hit of that size (each tier as the tiered default runs it,
+    unless ``REPRO_EXECUTOR`` pins the mode) must run none of the
+    kernel's scan loops through the iterative loop helper, and each must
+    equal the reference executor on the same inputs (``oracle``).
+    """
+    from repro import acc
+    from repro.gpu import kernelir as K
+    from repro.gpu.executor import _env_mode
+    from repro.gpu.executor_batched import _scan_form
+    from repro.testsuite.cases import generate_cases
+
+    pick = dict(positions=("gang worker vector",), ops=("+",),
+                ctypes=("float",))
+    case, = generate_cases(size=4096, **pick)
+    other, = generate_cases(size=2048, **pick)
+    geom = dict(num_gangs=192, num_workers=8, vector_length=128)
+    expect = _env_mode() is None
+    launches = (("first launch", case, ["batched", "counted"]),
+                ("re-launch", other, ["trace", "counted"]),
+                ("memo hit", other, ["trace", "memo"]))
+    rows = []
+    with _iterative_loops() as sids:
+        prog = acc.compile(case.source, **geom)
+        scan = {s.sid for k in prog.lowered.kernels
+                for s, _ in K.walk_stmts(k.body) if _scan_form(s) is not None}
+        for i, (name, c, tier) in enumerate(launches):
+            inputs = c.make_inputs(np.random.default_rng(50 + i))
+            del sids[:]
+            got = prog.run(**inputs)
+            fell_back = sorted(scan.intersection(sids))
+            oracle = prog.run(executor_mode="reference", **inputs)
+            rows.append({
+                "launch": name,
+                "tiers": sorted([st.executor, st.counters]
+                                for st in got.kernel_stats.values()),
+                "expect_tiers": [tier] if expect else None,
+                "fell_back": fell_back,
+                "oracle": _same_run(got, oracle),
+            })
+    return {"config": f"{case.label} 192x8x128", "loops": sorted(scan),
+            "launches": rows}
+
+
 def _attribution_guard() -> dict:
     """The attribution zero-overhead pin (boolean, not timed).
 
@@ -669,6 +749,7 @@ def run_smoke(reps: int = 2) -> dict:
         },
         "trace_executor": _trace_workload(reps),
         "counter_memo": _counter_memo_guard(),
+        "scan_loops": _scan_loop_guard(),
         "attribution_guard": _attribution_guard(),
         "pass_pipeline": _passes_guard(),
         "cascade_fusion": _cascade_guard(),
@@ -742,6 +823,26 @@ def check_against_baseline(current: dict, baseline: dict,
                     f"counter_memo: {row['config']}: the counted re-launch "
                     "never flushed its access log mid-launch, so its "
                     "oracle no longer covers reuse chained across flushes")
+    sl = current.get("scan_loops")
+    if sl is not None:
+        if not sl["loops"]:
+            failures.append(f"scan_loops: {sl['config']}: no loop of the "
+                            "kernel is a scan loop")
+        for row in sl["launches"]:
+            where = f"scan_loops: {sl['config']} {row['launch']}"
+            if row["fell_back"]:
+                failures.append(
+                    f"{where}: loop(s) {row['fell_back']} ran iteratively, "
+                    "not along their iteration axis")
+            if not row["oracle"]:
+                failures.append(
+                    f"{where}: stats, modeled ms or results differ from "
+                    "the reference executor's")
+            if row["expect_tiers"] is not None \
+                    and row["tiers"] != row["expect_tiers"]:
+                failures.append(
+                    f"{where}: ran {row['tiers']}, not "
+                    f"{row['expect_tiers']}")
     pp = current.get("pass_pipeline")
     if pp is not None:
         for row in pp["configs"]:
@@ -852,6 +953,10 @@ def main(argv=None) -> int:
           f"{len(cm['relaunch'])}, flushed mid-launch "
           f"{sum(r.get('chained', False) for r in cm['relaunch'])}/"
           f"{sum('chained' in r for r in cm['relaunch'])}", file=sys.stderr)
+    sl = doc["scan_loops"]
+    print(f"  scan loops {sl['loops']} of {sl['config']}: " + ", ".join(
+        f"{r['launch']} fell back {r['fell_back'] or 'never'}, "
+        f"oracle={r['oracle']}" for r in sl["launches"]), file=sys.stderr)
     pp = doc["pass_pipeline"]
     for row in pp["configs"]:
         print(f"  passes {row['config']:<42} "

@@ -741,6 +741,7 @@ class CompiledKernel:
         self._trace_fn = None
         self._trace_slot_sids: dict[int, int] | None = None
         self._trace_safety = None  # lazy trace-compilation verdict
+        self._scan_loops = None  # lazy count of loops in scan form
         # counter memo: launch key -> (KernelStats of a counted launch,
         # the chunk size it completed at).  Locked because one kernel may
         # launch from several threads (the serve device pool)
@@ -767,6 +768,18 @@ class CompiledKernel:
             from repro.gpu.executor_trace import analyze_trace_safety
             self._trace_safety = analyze_trace_safety(self.kernel)
         return self._trace_safety
+
+    @property
+    def scan_loops(self) -> int:
+        """How many of the kernel's loops are scan loops, which both fast
+        executors run along their iteration axis (see
+        :func:`repro.gpu.executor_batched._scan_form`)."""
+        if self._scan_loops is None:
+            from repro.gpu.executor_batched import _scan_form
+            self._scan_loops = sum(
+                _scan_form(s) is not None
+                for s, _ in K.walk_stmts(self.kernel.body))
+        return self._scan_loops
 
     @property
     def trace_source(self) -> str | None:
@@ -984,7 +997,9 @@ class CompiledKernel:
                         requested=requested, mode=mode, grid=grid_dim,
                         fallback=fallback,
                         counters="counted" if memo is None else "memo",
-                        checks="proven" if trusted else "run")
+                        checks="proven" if trusted else "run",
+                        scan_loops=0 if mode == "reference"
+                        else self.scan_loops)
         if faults is not None:
             faults.on_launch(self.kernel.name)  # may raise KernelLaunchError
         stats = KernelStats(

@@ -25,6 +25,12 @@ accounting lives in one place:
   loop compaction), the region warp vector (``_warps_per_block``), the
   region charge (``_charge``: warp slots, barriers, attribution rows)
   and masked register assignment (``_set``);
+* the scan-loop helper (:func:`_scan`), which runs a loop whose only
+  loop-carried values are its induction and its accumulators
+  (:func:`_scan_form`) along its iteration axis — one gather per load
+  and one ordered fold per accumulator for all iterations — with the
+  counters, checks and registers of the iterative loop, and hands any
+  loop it cannot prove exact back to ``_while``;
 * the chunk driver (:func:`_run_chunks`) with the log's folds and the
   launch-end segment-reuse correction.
 
@@ -60,7 +66,9 @@ Control-flow accounting parity (each derived from the reference rules):
 * divergence — per-block warp masks of both branch sides, summed.
 * loop ``steps`` (the watchdog currency) — each batched loop iteration
   adds the number of blocks still iterating, so the launch total equals
-  the reference sum of per-block trip counts.
+  the reference sum of per-block trip counts; a scan loop adds each
+  block's largest trip count at once, and each warp's largest trip
+  count prices its warp slots.
 * barriers — a barrier under a partially-active block raises
   :class:`~repro.errors.BarrierDivergenceError` exactly as the reference
   path; fully-inactive blocks are skipped (they never reached it).
@@ -77,7 +85,8 @@ from repro.gpu import kernelir as K
 from repro.gpu.device import DeviceProperties
 from repro.gpu.events import KernelStats, TraceEvent
 from repro.gpu.executor import (
-    ATOMIC_OPS, _compile_expr, _truthy, _watchdog_trip, _stmt_slots,
+    ATOMIC_OPS, _BINOPS, _CALLS, _compile_expr, _truthy, _watchdog_trip,
+    _stmt_slots,
 )
 from repro.gpu.memory import (
     AccessLog, BatchedSharedMemory, GlobalMemory, finalize_segment_reuse,
@@ -1080,6 +1089,624 @@ def _uwhile(E, m, aw, sid, cond, body) -> None:
 
 
 # --------------------------------------------------------------------------
+# scan loops: a loop whose only loop-carried values are its induction and
+# its accumulators runs along its iteration axis
+# --------------------------------------------------------------------------
+#
+# The fused finish kernel's strided accumulation (``acc = acc ⊕ p[i];
+# i += fbs``) and a vector loop's ``sum += a[i]; i += vl`` are the
+# shapes: the induction has a closed form, every load and term of every
+# iteration can be evaluated at once, and only the accumulator chain
+# needs its order — which ``ufunc.accumulate`` keeps (Polly's
+# reduction-aware scheduling, PAPERS.md).
+
+#: the loop-condition comparisons a scan loop may test its induction with
+_SCAN_CMPS = ("<", "<=", ">", ">=")
+#: accumulator operators folded by ``ufunc.accumulate`` (the accumulator
+#: as the left operand): the IR's arithmetic and bitwise binary operators
+#: and the two-argument min/max intrinsics
+_FOLD_OPS = ("+", "-", "*", "&", "|", "^",
+             "fmax", "fmaxf", "fmin", "fminf", "max", "min")
+#: iterations x lanes one strip of a scan loop evaluates at once: the
+#: helper's working set is bounded whatever the trip count
+SCAN_BUDGET = 1 << 14
+
+
+class ScanForm:
+    """The static scan-loop verdict of one ``While`` (:func:`_scan_form`).
+
+    ``iv`` is the induction, tested as ``inv && iv <cmp> bound`` (``inv``
+    None when the condition is the comparison alone); ``reads`` are the
+    loop-invariant registers the loop reads; ``stmts`` holds per body
+    statement ``(kind, stmt, expr, op)``: kind ``"g"``/``"s"`` a global or
+    shared load (``expr`` its index), ``"t"`` a temporary (its value),
+    ``"a"`` an accumulator ``acc = acc op expr``, ``"f"`` any other
+    accumulator (``expr`` the whole value), ``"i"`` the induction step.
+    """
+
+    __slots__ = ("iv", "cmp", "inv", "bound", "reads", "stmts")
+
+    def __init__(self, iv, cmp, inv, bound, reads, stmts):
+        self.iv, self.cmp, self.inv, self.bound = iv, cmp, inv, bound
+        self.reads, self.stmts = reads, stmts
+
+    def __str__(self) -> str:
+        """A compact signature, e.g. ``"&< g a+ i"``."""
+        return (("&" if self.inv is not None else "") + self.cmp + " "
+                + " ".join(k + (op or "") for k, _, _, op in self.stmts))
+
+
+def _reads(e) -> set:
+    regs: set[str] = set()
+    if e is not None:
+        K.expr_reads(e, regs)
+    return regs
+
+
+def _scan_form(s) -> ScanForm | None:
+    """The scan form of statement ``s``, or None if it is not a scan loop.
+
+    A scan loop is a ``While`` whose body is straight-line ``Assign``/
+    ``GLoad``/``SLoad`` code assigning each register at most once, whose
+    condition is ``iv <cmp> bound``, optionally behind ``inv &&``, with
+    ``bound`` and ``inv`` loop-invariant, and whose body updates the
+    integer induction ``iv`` by ``iv = iv + step`` with ``step``
+    loop-invariant.  Every other register the body assigns is an
+    *accumulator* (``acc = F(acc, …)``, ``acc`` read nowhere else in the
+    loop) or a *temporary* (assigned before any read of it in the body).
+    Then the induction and the accumulators are the only loop-carried
+    values.
+    """
+    if not isinstance(s, K.While):
+        return None
+    body = [b for b in s.body if not isinstance(b, K.Comment)]
+    if not all(isinstance(b, (K.Assign, K.GLoad, K.SLoad)) for b in body):
+        return None
+    c, inv = s.cond, None
+    if isinstance(c, K.Bin) and c.op == "&&":
+        inv, c = c.a, c.b
+    if not (isinstance(c, K.Bin) and c.op in _SCAN_CMPS
+            and isinstance(c.a, K.Reg)):
+        return None
+    iv = c.a.name
+    dsts = [b.dst for b in body]
+    assigned = set(dsts)
+    live = _reads(c.b) | _reads(inv)
+    if len(assigned) != len(dsts) or iv not in assigned \
+            or not assigned.isdisjoint(live):
+        return None
+    accs = {b.dst for b in body if isinstance(b, K.Assign)
+            and b.dst != iv and b.dst in _reads(b.value)}
+    stmts, defined = [], set()
+    for b in body:
+        op = None
+        if isinstance(b, (K.GLoad, K.SLoad)):
+            if b.dst == iv:
+                return None  # a loaded induction: no step to count trips by
+            kind, x = "g" if isinstance(b, K.GLoad) else "s", b.index
+        elif b.dst == iv:
+            e = b.value
+            if not (isinstance(e, K.Bin) and e.op == "+"):
+                return None
+            if isinstance(e.a, K.Reg) and e.a.name == iv:
+                kind, x = "i", e.b
+            elif isinstance(e.b, K.Reg) and e.b.name == iv:
+                kind, x = "i", e.a
+            else:
+                return None
+            if not assigned.isdisjoint(_reads(x)):
+                return None
+        elif b.dst in accs:
+            e = b.value
+            args = (e.a, e.b) if isinstance(e, K.Bin) else \
+                e.args if isinstance(e, K.Call) else ()
+            fop = e.op if isinstance(e, K.Bin) else getattr(e, "fn", None)
+            if (fop in _FOLD_OPS and len(args) == 2
+                    and isinstance(args[0], K.Reg) and args[0].name == b.dst
+                    and b.dst not in _reads(args[1])):
+                kind, x, op = "a", args[1], fop
+            else:
+                kind, x = "f", e
+        else:
+            kind, x = "t", b.value
+        rd = _reads(x) - {b.dst} if kind == "f" else _reads(x)
+        for r in rd:
+            if r in accs or (r in assigned and r != iv
+                             and r not in defined):
+                return None  # a second loop-carried value
+        live |= rd - assigned
+        defined.add(b.dst)
+        stmts.append((kind, b, x, op))
+    return ScanForm(iv, c.op, inv, c.b, tuple(sorted(live)), tuple(stmts))
+
+
+class ScanLoop:
+    """A scan loop in the form :func:`_scan` runs: the static form with
+    each expression as a function ``fn(V)`` of an environment ``V`` (a
+    :class:`BatchedBlockEnv`, or a :class:`_ScanView` of the lanes of a
+    strip).  ``stmts`` holds per body statement ``(kind, dst, sid, arg,
+    fn)``, the kinds of :class:`ScanForm`, with ``arg`` the ``(buffer,
+    segment-reuse slot)`` of a global load, the array of a shared load
+    and the ufunc of an ``"a"`` accumulator.  ``cond`` and ``body`` run
+    the loop iteratively (``cond(E)``, a region ``body(E, m, f, aw,
+    aws)``) where :func:`_scan` falls back to :func:`_while`; where they
+    are None, :meth:`iterative` builds them from ``stmts``."""
+
+    __slots__ = ("sid", "iv", "op", "cmp", "inv", "bound", "step", "reads",
+                 "stmts", "sids", "live_in", "shared", "cond", "body")
+
+    def __init__(self, sid, iv, cmp, inv, bound, reads, stmts, cond=None,
+                 body=None):
+        self.sid, self.iv, self.op, self.cmp = sid, iv, cmp, _BINOPS[cmp]
+        self.inv, self.bound, self.reads, self.stmts = inv, bound, reads, stmts
+        self.step = next(fn for kind, *_, fn in stmts if kind == "i")
+        self.sids = tuple(x[2] for x in stmts)
+        self.live_in = frozenset(reads).union(
+            [iv], (x[1] for x in stmts if x[0] in "af"))
+        self.shared = any(x[0] == "s" for x in stmts)
+        self.cond, self.body = cond, body
+
+    def iterative(self):
+        """``(cond, body)`` of the iterative loop."""
+        return self.cond or self._cond, self.body or self._body
+
+    def _cond(self, E):
+        if self.inv is not None:
+            a = _truthy(np.asarray(self.inv(E)))
+        c = self.cmp(E.regs[self.iv], self.bound(E))
+        return c if self.inv is None else a & _truthy(np.asarray(c))
+
+    def _body(self, E, m, f, aw, aws):
+        _charge(E, m, f, aws, self.sids)
+        mi = _lanes(m, f)
+        wk = None if E.log is None else _wk(E, mi)
+        R = E.regs
+        for kind, dst, sid, arg, fn in self.stmts:
+            if kind == "g":
+                chk = None if E.check is None else E.check.get(arg[0])
+                bf = None if wk is None and chk is None \
+                    else _lanes_of(E.block_ids, mi, m.shape[1])
+                _gload(E, dst, E.gmem[arg[0]], fn(E), m, mi, wk, bf, arg[1],
+                       chk)
+            elif kind == "s":
+                _sload(E, dst, arg, fn(E), m, mi, wk,
+                       _lanes_of(E.rows[:, 0], mi, m.shape[1]), sid)
+            elif kind == "a":
+                _set(E, dst, arg(R[dst], fn(E)), m, f, True)
+            elif kind == "i":
+                _set(E, dst, np.add(R[dst], fn(E)), m, f, True)
+            else:
+                _set(E, dst, fn(E), m, f)
+
+
+class _ScanView:
+    """What a scan loop's expressions read, at the ``n`` lanes of one
+    strip: registers as ``(iterations, n)`` arrays, or ``(n,)`` for
+    loop-invariant ones, and the thread geometry per lane (gathered
+    when an expression reads it)."""
+
+    __slots__ = ("regs", "params", "bdx", "bdy", "gdx", "ntid", "_E", "_r",
+                 "_c")
+
+    def __init__(self, E, regs: dict, r, c):
+        self.regs, self.params = regs, E.params
+        self.bdx, self.bdy, self.gdx, self.ntid = E.bdx, E.bdy, E.gdx, E.ntid
+        self._E, self._r, self._c = E, r, c
+
+    tx = property(lambda V: V._E.tx[V._c])
+    ty = property(lambda V: V._E.ty[V._c])
+    tid = property(lambda V: V._E.tid[V._c])
+    bx = property(lambda V: V._E.bx[V._r, 0])
+
+    def row(self, r: int, extra: dict) -> "_ScanView":
+        """The view of one iteration (row ``r``), with ``extra`` too."""
+        regs = {k: (a[r] if a.ndim == 2 else a)
+                for k, a in self.regs.items()}
+        regs.update(extra)
+        return _ScanView(self._E, regs, self._r, self._c)
+
+
+class _ScanFallback(Exception):
+    """Bulk execution of a scan loop is not provably exact."""
+
+
+#: what evaluating a scan loop's statements in bulk can raise: the
+#: loop's own errors (an out-of-bounds index, a hazard, a missing
+#: register or param, NumPy's type and value errors), which the
+#: iterative loop then raises where they occur, and an unprovable case
+_SCAN_ERRORS = (SimulationError, _BatchHazard, _ScanFallback, KeyError,
+                IndexError, ArithmeticError, TypeError, ValueError)
+
+
+class _ScanPlan:
+    """The lanes a scan loop runs and their trip counts.
+
+    Lanes are the flat (row, thread) indices ``ln`` of the region with
+    at least one trip; when their trip counts differ they are ordered by
+    descending count (stably), so the lanes still iterating at any
+    iteration are a prefix.  ``bands`` cut the iterations where that
+    prefix shrinks: ``(t_lo, t_hi, n, fin)`` runs iterations
+    ``[t_lo, t_hi)`` on lanes ``[:n]``, after which lanes ``[fin:n]``
+    are done.  ``s0``/``s``/``st`` are the induction's start (in its
+    dtype and as int64) and step per lane (a step the same for every
+    lane is a Python int).  A plan with no lane in the loop, or whose
+    lanes all make one trip, stops at ``live`` (the mask of the region's
+    lanes in the loop) and ``steps``, with ``bands`` None."""
+
+    __slots__ = ("live", "ln", "r", "c", "tr", "s0", "s", "st", "ivdt",
+                 "bands", "steps", "ragged", "wk", "bf", "rw", "inv")
+
+
+def _at_lanes(v, ln, shp):
+    """Value ``v`` (of a shape that broadcasts to ``shp``) at the flat
+    lanes ``ln``: a 0-d array when it is one value for every lane."""
+    v = np.asarray(v)
+    if v.ndim == 0:
+        return v
+    if v.shape != shp:
+        v = np.broadcast_to(v, shp)
+    return v.reshape(-1)[ln]
+
+
+def _i64(v):
+    """An integer value as int64 (a Python int when it is one value),
+    clamped to ±2^33: beyond that a bound or a step acts alike on an
+    induction of at most 32 bits, and the trip arithmetic stays inside
+    int64."""
+    if v.ndim == 0:
+        return max(min(int(v), 1 << 33), -(1 << 33))
+    if v.dtype.itemsize < 8:
+        return v
+    return np.minimum(np.maximum(v, -(1 << 33)), 1 << 33)
+
+
+def _scan_plan(E, m, loop) -> _ScanPlan | None:
+    """Trip counts of ``loop`` under region mask ``m``, from its first
+    condition check and its induction in exact integer arithmetic; None
+    where that is not provably what the iterative loop does: the
+    induction may overflow its dtype, a step of the wrong sign (or a
+    non-integer bound or step) makes the count unprovable, or the
+    loop's steps would pass the watchdog budget.
+
+    The second condition check comes first: the condition reads only
+    the induction and loop-invariant values, so ``iv + step`` decides it
+    before the body runs.  When no lane passes it, every lane in the
+    loop makes one trip, and the plan stops there."""
+    R = E.regs
+    if not loop.live_in.issubset(R.keys()):
+        return None
+    shp = m.shape
+    p = _ScanPlan()
+    p.bands = None
+    p.live = live = m & _bc(_truthy(np.asarray(loop.iterative()[0](E))), shp)
+    rows = live.any(axis=1)
+    if not rows.any():
+        p.steps = 0
+        return p
+    iv0 = R[loop.iv]
+    step = loop.step(E)
+    again = live & _bc(_truthy(np.asarray(
+        loop.cmp(np.add(iv0, step), loop.bound(E)))), shp)
+    if not again.any():
+        p.steps = int(np.count_nonzero(rows))
+        return None if E.steps + p.steps > E.watchdog_budget else p
+    p.ln = ln = live.reshape(-1).nonzero()[0]
+    p.ivdt = ivdt = iv0.dtype
+    if ivdt.kind != "i" or ivdt.itemsize > 4 \
+            or np.result_type(iv0, step) != ivdt:
+        return None
+    st, b = _at_lanes(step, ln, shp), _at_lanes(loop.bound(E), ln, shp)
+    if st.dtype.kind != "i" or b.dtype.kind != "i":
+        return None
+    st, b = _i64(st), _i64(b)
+    p.s0 = _at_lanes(iv0, ln, shp)
+    s = p.s0.astype(np.int64)
+    up = loop.op in ("<", "<=")
+    d, inc = (b - s, st) if up else (s - b, -st)
+    if (inc <= 0) if isinstance(inc, int) else (inc <= 0).any():
+        return None  # never leaves, or only through an overflow
+    strict = loop.op in ("<", ">")
+    tr = (d + (inc - 1)) // inc if strict else d // inc + 1
+    lim = np.iinfo(ivdt)
+    # the induction moves from its start toward the bound and stops past
+    # it by at most a step: only that side can leave the dtype
+    if not isinstance(st, int):
+        fin = s + tr * st
+        end = int(fin.max()) if up else int(fin.min())
+    elif isinstance(b, int):
+        end = b + st
+    else:
+        end = (int(b.max()) if up else int(b.min())) + st
+    if not lim.min <= end <= lim.max:
+        return None
+    top = int(tr.max())
+    p.ragged = top != int(tr.min())
+    r, c = np.divmod(ln, shp[1])
+    # loop steps: each iteration adds the rows still in it
+    if p.ragged:
+        rs = np.concatenate(([0], (r[1:] != r[:-1]).nonzero()[0] + 1))
+        p.steps = int(np.maximum.reduceat(tr, rs).sum())
+    else:
+        p.steps = top * int(np.count_nonzero(rows))
+    if E.steps + p.steps > E.watchdog_budget:
+        return None
+    p.wk = None if E.log is None else E.warpkey.reshape(-1)[ln]
+    if p.ragged:
+        o = np.argsort(-tr, kind="stable")
+        ln, r, c, s, tr = ln[o], r[o], c[o], s[o], tr[o]
+        p.s0 = p.s0[o]
+        if not isinstance(st, int):
+            st = st[o]
+        if p.wk is not None:
+            p.wk = p.wk[o]
+        u = np.unique(tr)
+        n = np.searchsorted(-tr, -u, side="right")  # lanes with >= u trips
+        p.bands, t_lo = [], 0
+        for i, t in enumerate(u.tolist()):
+            p.bands.append((t_lo, t, int(n[i]),
+                            int(n[i + 1]) if i + 1 < u.size else 0))
+            t_lo = t
+    else:
+        p.bands = [(0, top, ln.size, 0)]
+    p.ln, p.r, p.c, p.s, p.st, p.tr = ln, r, c, s, st, tr
+    p.bf = E.block_ids[r] \
+        if E.log is not None or E.check is not None else None
+    p.rw = E.rows[:, 0][r] if loop.shared else None
+    p.inv = {name: _at_lanes(R[name], ln, shp) for name in loop.reads}
+    return p
+
+
+def _scan_put(acc: list, y, n: int) -> None:
+    """One iteration of accumulator ``acc`` (``[values, dtype history]``):
+    lanes ``[:n]`` take ``y``.  A result of another dtype recasts every
+    lane first, as :func:`_reg` does the register."""
+    y = np.asarray(y)
+    if y.dtype != acc[0].dtype:
+        acc[0] = acc[0].astype(y.dtype)
+        acc[1].append(y.dtype)
+    if y.shape == acc[0].shape:
+        acc[0] = y  # every lane, in a fresh array (a ufunc's output)
+    else:
+        acc[0][:n] = y
+
+
+def _scan_fold(kind, dst, uf, fn, V, acc: list, rows: int, n: int,
+               first: bool) -> None:
+    """Fold rows ``[0, rows)`` of one strip into accumulator ``dst``
+    (``acc``), sequentially along the iteration axis with the operands
+    as written: ``uf.accumulate`` where every iteration computes in the
+    accumulator's dtype (the loop's first iteration, which may change
+    it, runs alone), else one ``F`` call per iteration.  Never a
+    pairwise reduction, and no padding: every row of a strip is an
+    iteration of all its lanes."""
+    if kind == "f":
+        for r in range(rows):
+            _scan_put(acc, fn(V.row(r, {dst: acc[0][:n]})), n)
+        return
+    x = fn(V)
+    per_row = isinstance(x, np.ndarray) and x.ndim == 2
+    r0 = 0
+    if first:
+        _scan_put(acc, uf(acc[0][:n], x[0] if per_row else x), n)
+        r0 = 1
+    if rows == r0:
+        return
+    R = acc[0].dtype
+    try:
+        xdt = x.dtype if hasattr(x, "dtype") else type(x)
+        stable = uf.resolve_dtypes((R, xdt, None)) == (R, R, R)
+    except (TypeError, ValueError):
+        stable = False
+    if not stable:
+        for r in range(r0, rows):
+            _scan_put(acc, uf(acc[0][:n], x[r] if per_row else x), n)
+        return
+    z = np.empty((rows - r0 + 1, n), dtype=R)
+    z[0] = acc[0][:n]
+    z[1:] = x[r0:] if per_row else x
+    uf.accumulate(z, axis=0, dtype=R, out=z)
+    acc[0][:n] = z[-1]
+
+
+def _scan_eval(E, loop, p: _ScanPlan, visit, fold: bool):
+    """Run the body of ``loop`` over the iterations of plan ``p`` in
+    strips of at most :data:`SCAN_BUDGET` (iteration, lane) pairs.
+
+    Registers are ``(iterations, lanes)`` arrays: the induction from its
+    closed form, each load and temporary evaluated for every pair of the
+    strip at once, in body order.  Each load's index array goes to
+    ``visit(E, p, kind, arg, sid, idx, n)`` before it reads memory.
+    With ``fold`` the accumulators fold too, and the result is the
+    final values per lane: ``({register: values}, {accumulator:
+    [values, dtype history]})``, in the plan's lane order."""
+    iv, ivdt, L = loop.iv, p.ivdt, p.ln.size
+    out, accs = {}, {}
+    if fold:
+        accs = {dst: [E.regs[dst].reshape(-1)[p.ln], []]
+                for kind, dst, *_ in loop.stmts if kind in "af"}
+    first = True
+    for t_lo, t_hi, n, fin in p.bands:
+        span = max(1, SCAN_BUDGET // n)
+        part = n < L
+        s = p.s[:n] if part else p.s
+        st = p.st if isinstance(p.st, int) or not part else p.st[:n]
+        inv = {k: a[:n] for k, a in p.inv.items()} if part else p.inv
+        r, c = (p.r[:n], p.c[:n]) if part else (p.r, p.c)
+        for t0 in range(t_lo, t_hi, span):
+            rows = min(span, t_hi - t0)
+            V = _ScanView(E, dict(inv), r, c)
+            if first and rows == 1:
+                ivl = s[None]
+                V.regs[iv] = (p.s0[:n] if part else p.s0)[None]
+            else:
+                ivl = s + np.arange(t0, t0 + rows,
+                                    dtype=np.int64)[:, None] * st
+                V.regs[iv] = ivl.astype(ivdt)
+            for kind, dst, sid, arg, fn in loop.stmts:
+                if kind == "i":
+                    V.regs[iv] = (ivl + st).astype(ivdt)
+                elif kind in "af":
+                    if fold:
+                        _scan_fold(kind, dst, arg, fn, V, accs[dst], rows, n,
+                                   first)
+                elif kind == "t":
+                    V.regs[dst] = np.asarray(fn(V))
+                else:
+                    idx = np.asarray(fn(V))
+                    if idx.dtype.kind not in "iu":
+                        raise _ScanFallback(dst)
+                    if idx.shape != (rows, n):
+                        idx = np.broadcast_to(idx, (rows, n))
+                    visit(E, p, kind, arg, sid, idx, n)
+                    V.regs[dst] = E.gmem[arg[0]].data[idx] if kind == "g" \
+                        else E.smem._arrays[arg][p.rw[:n], idx]
+            first = False
+        if fold:
+            # lanes [fin:n] ran their last iteration in this band's last row
+            for kind, dst, *_ in loop.stmts:
+                if kind not in "gst":
+                    continue
+                v = V.regs[dst]
+                v = v[-1] if v.ndim == 2 else np.broadcast_to(v, (n,))
+                if fin == 0 and n == L:
+                    out[dst] = v
+                    continue
+                f = out.get(dst)
+                if f is None:
+                    f = out[dst] = np.empty(L, dtype=v.dtype)
+                elif f.dtype != v.dtype:
+                    raise _ScanFallback(dst)
+                f[fin:n] = v[fin:n]
+    return out, accs
+
+
+def _scan_check(E, p, kind, arg, sid, idx, n) -> None:
+    """The checks of one strip's accesses of one load: bounds on a
+    counted launch, and the hazard check of a checked buffer — over all
+    of the strip's iterations at once, exact because a scan loop stores
+    nothing (the reads are fed in block order, as ``_check_read``
+    needs)."""
+    cnt = E.log is not None
+    if kind == "s":
+        if cnt:
+            _sbounds(arg, E.smem._arrays[arg].shape[1], idx)
+        return
+    buf = E.gmem[arg[0]]
+    if cnt:
+        E.gmem._check_bounds(buf, idx)
+    chk = None if E.check is None else E.check.get(arg[0])
+    if chk is not None:
+        act = idx.T.reshape(-1)
+        blk = np.repeat(p.bf[:n], idx.shape[0])
+        if p.ragged:
+            o = np.argsort(blk, kind="stable")
+            act, blk = act[o], blk[o]
+        _check_read(chk, buf.name, act, blk)
+
+
+def _scan_access(E, p, kind, arg, sid, idx, n) -> None:
+    """Log one strip's accesses of one load: one access-log call per
+    iteration, so the slot's segment reuse chains on the previous
+    iteration as it does in :func:`_while`."""
+    wk = p.wk[:n]
+    if kind == "g":
+        buf, bf = E.gmem[arg[0]], p.bf[:n]
+        for row in idx:
+            E.log.add_global(buf, arg[1], row, bf, wk)
+    else:
+        for row in idx:
+            E.log.add_shared(E.smem, arg, sid, row, wk)
+
+
+def _scan_log(E, loop, p: _ScanPlan) -> None:
+    """The access log of a counted scan loop: a second pass over its
+    strips, after the first has passed every check."""
+    _scan_eval(E, loop, p, _scan_access, False)
+
+
+def _scan_charge(E, loop, p: _ScanPlan) -> None:
+    """The warp slots and attribution rows of a counted scan loop, as
+    :func:`_while` charges them: each iteration, every body statement
+    and the re-check take one slot per warp with a lane still in the
+    loop, so each warp is charged its largest trip count."""
+    wk, tr = p.wk, p.tr
+    if p.ragged:
+        o = np.argsort(wk, kind="stable")
+        wk, tr = wk[o], tr[o]
+        starts = np.concatenate(([0], (wk[1:] != wk[:-1]).nonzero()[0] + 1))
+        ws = int(np.maximum.reduceat(tr, starts).sum())
+    else:
+        ws = int(tr[0]) * (int(np.count_nonzero(wk[1:] != wk[:-1])) + 1)
+    E.stats.warp_inst_slots += ws * (len(loop.sids) + 1)
+    A = E.attr
+    if A is not None:
+        lanes = int(p.tr.sum())
+        for sid in loop.sids:
+            row = A.row(sid)
+            row.execs += p.steps
+            row.lanes += lanes
+            row.warp_slots += ws
+        A.row(loop.sid).warp_slots += ws  # re-checks
+
+
+def _scan(E, m, loop: ScanLoop) -> None:
+    """Scan loop ``loop`` under region mask ``m``, along its iteration
+    axis: results, registers, loop steps and every counter as
+    :func:`_while` leaves them.
+
+    A first pass over the strips evaluates the loop, folds its
+    accumulators and runs its checks, changing nothing but the hazard
+    checks' read marks (a subset of what the iterative loop marks).  A
+    counted launch then logs the accesses and charges the warp slots;
+    the registers are written last.  When every lane makes one trip the
+    iteration axis has length one, and the loop's body region runs once
+    under the lanes in the loop.  The loop runs
+    iteratively instead (:func:`_while`) under stuck warps, armed fault
+    hooks or TraceEvent collection, where :func:`_scan_plan` cannot
+    prove the trip counts, and when the first pass raises: the
+    iterative loop then raises the same error where it occurs."""
+    p = None
+    if not (E.stuck or E.trace or E.gmem.faults is not None):
+        try:
+            p = _scan_plan(E, m, loop)
+            if p is not None and p.bands:
+                out, accs = _scan_eval(E, loop, p, _scan_check, True)
+        except _SCAN_ERRORS:
+            p = None
+    if p is None:
+        _while(E, m, loop.sid, *loop.iterative())
+        return
+    if p.bands is None:
+        if not p.steps:
+            return
+        # one trip for every lane: the iteration axis is the body, once
+        live = p.live
+        f = bool(live.all())
+        aw, aws = (None, None) if E.log is None \
+            else _warps_per_block(E, live, f)
+        E.steps += p.steps
+        loop.iterative()[1](E, live, f, aw, aws)
+        if aws is not None:
+            E.stats.warp_inst_slots += aws  # the re-check
+            if E.attr is not None:
+                E.attr.row(loop.sid).warp_slots += aws
+        return
+    if E.log is not None:
+        _scan_log(E, loop, p)
+        _scan_charge(E, loop, p)
+    E.steps += p.steps
+    regs = [(d, v, [v.dtype]) for d, v in out.items()]
+    regs += [(d, a[0], a[1] or [a[0].dtype]) for d, a in accs.items()]
+    # the induction's last value (proven inside its dtype by the plan)
+    last = p.s + (p.tr if p.ragged else int(p.tr[0])) * p.st
+    regs.append((loop.iv, last.astype(p.ivdt), [p.ivdt]))
+    for name, vals, history in regs:
+        for dt in history:
+            reg = _reg(E, name, dt, m.shape)
+        reg.reshape(-1)[p.ln] = vals
+
+
+# --------------------------------------------------------------------------
 # the batched executor: block-axis closures over the shared runtime
 # --------------------------------------------------------------------------
 
@@ -1105,7 +1732,8 @@ def _trace_events(E, kind: str, buf: str, m: np.ndarray) -> None:
 
 def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
                           uniform_ids: frozenset = frozenset(),
-                          slot_sids: dict | None = None):
+                          slot_sids: dict | None = None,
+                          slots: dict | None = None):
     """Compile one statement to ``fn(E, m, f, aw, aws)`` over a chunk.
 
     The arguments are those of its region (see :func:`_charge`), which
@@ -1113,7 +1741,9 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
     ``uniform_ids`` holds the ``"block"`` :func:`_uniform_stmts`
     verdicts; ``slot_sids`` maps each global access's segment-reuse slot
     back to its stamped ``sid`` (for the launch-end reuse correction's
-    per-statement attribution).
+    per-statement attribution); ``slots`` the segment-reuse slots of the
+    global loads of a scan loop's body, which the loop's
+    :class:`ScanLoop` shares.
 
     Memory statements, barriers and shuffles call the shared runtime
     helpers with per-access gathers, branches and loops the control-flow
@@ -1132,7 +1762,9 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
         return do_assign
 
     if isinstance(s, (K.GLoad, K.GStore)):
-        slot = next(_stmt_slots)
+        slot = (slots or {}).get(id(s))
+        if slot is None:
+            slot = next(_stmt_slots)
         if slot_sids is not None:
             slot_sids[slot] = sid
 
@@ -1217,11 +1849,44 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
 
     if isinstance(s, K.While):
         fc = _compile_expr(s.cond)
-        fbody = _compile_block_batched(s.body, device, uniform_ids,
-                                       slot_sids)
-        def do_while(E, m, f, aw, aws):
-            _while(E, m, sid, fc, fbody)
-        return do_while
+        form = _scan_form(s)
+        if form is None:
+            fbody = _compile_block_batched(s.body, device, uniform_ids,
+                                           slot_sids)
+            def do_while(E, m, f, aw, aws):
+                _while(E, m, sid, fc, fbody)
+            return do_while
+        slots = {}
+        for b in s.body:
+            if isinstance(b, K.GLoad):
+                slots[id(b)] = slot = next(_stmt_slots)
+                if slot_sids is not None:
+                    slot_sids[slot] = b.sid
+        compiled = []
+
+        def fbody(E, m, f, aw, aws):
+            # the iterative body, with the fault hooks and TraceEvent
+            # appends: compiled on the loop's first iterative run
+            if not compiled:
+                compiled.append(_compile_block_batched(
+                    s.body, device, uniform_ids, slot_sids, slots))
+            compiled[0](E, m, f, aw, aws)
+
+        loop = ScanLoop(
+            sid, form.iv, form.cmp,
+            None if form.inv is None else _compile_expr(form.inv),
+            _compile_expr(form.bound), form.reads,
+            tuple((kind, b.dst, b.sid,
+                   (b.buf, slots[id(b)]) if kind == "g" else
+                   b.arr if kind == "s" else
+                   (_BINOPS.get(op) or _CALLS[op]) if kind == "a"
+                   else None,
+                   _compile_expr(x))
+                  for kind, b, x, op in form.stmts),
+            fc, fbody)
+        def do_scan(E, m, f, aw, aws):
+            _scan(E, m, loop)
+        return do_scan
 
     if isinstance(s, K.UniformWhile):
         fc = _compile_expr(s.cond)
@@ -1277,11 +1942,12 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
 
 def _compile_block_batched(stmts: tuple, device: DeviceProperties,
                            uniform_ids: frozenset = frozenset(),
-                           slot_sids: dict | None = None):
+                           slot_sids: dict | None = None,
+                           slots: dict | None = None):
     """Compile a region to ``run(E, m, f, aw, aws)``: the region charge,
     then its statements' closures in order."""
     stmts = [s for s in stmts if not isinstance(s, K.Comment)]
-    fns = [_compile_stmt_batched(s, device, uniform_ids, slot_sids)
+    fns = [_compile_stmt_batched(s, device, uniform_ids, slot_sids, slots)
            for s in stmts]
     sids = tuple(s.sid for s in stmts)
     syncs = tuple(s.sid for s in stmts if isinstance(s, K.Sync))

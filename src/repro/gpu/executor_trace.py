@@ -20,7 +20,13 @@ interpreter:
   counters read them (``CNT = E.log is not None``, off on a values-only
   launch);
 * per-warp-uniform loads run on one representative lane per warp
-  (``_gload_w``).
+  (``_gload_w``);
+* a scan loop (:func:`~repro.gpu.executor_batched._scan_form`) is
+  emitted once, as a module-level
+  :class:`~repro.gpu.executor_batched.ScanLoop` of lambdas, and runs
+  along its iteration axis in the shared
+  :func:`~repro.gpu.executor_batched._scan` helper, which also builds
+  the iterative fallback from it.
 
 Bit-identity is the contract, not a goal: results, every KernelStats
 counter, and attribution tables must match the reference and batched
@@ -29,9 +35,10 @@ executor's own block-axis runtime — the access helpers with their
 hazard checks and access log; the control-flow helpers (``_if``,
 ``_while``, ``_uwhile``) with the divergence split, loop steps,
 watchdog and row compaction, which call the generated region
-functions back; the region charge (``_charge``) that counts warp slots,
-barriers and attribution rows; and the chunk driver with the log's
-folds and the launch-end segment-reuse correction — so every rule
+functions back; the scan-loop helper (``_scan``); the region charge
+(``_charge``) that counts warp slots, barriers and attribution rows;
+and the chunk driver with the log's folds and the launch-end
+segment-reuse correction — so every rule
 lives in one place and only the dispatch differs.  On a counter-memo
 hit (``E.log is None``) the helpers count nothing, log nothing and skip
 their bounds checks; at the chunk size of the counted launch every
@@ -59,10 +66,10 @@ from repro.gpu import kernelir as K
 from repro.gpu.device import DeviceProperties
 from repro.gpu.executor import _c_div, _c_mod, _CALLS, _truthy
 from repro.gpu.executor_batched import (
-    _OWNED_ROOTS, _UNIFORMITY, _cast, _charge, _gload, _gload_u, _gload_w,
-    _gstore, _if, _lanes, _lanes_of, _param, _run_chunks, _set, _shfl,
-    _sload, _sstore, _sync, _uniform_stmts, _uwhile, _warps_per_block,
-    _while, _wk, analyze_batch_safety,
+    _OWNED_ROOTS, _UNIFORMITY, ScanLoop, _cast, _charge, _gload, _gload_u,
+    _gload_w, _gstore, _if, _lanes, _lanes_of, _param, _run_chunks, _scan,
+    _scan_form, _set, _shfl, _sload, _sstore, _sync, _uniform_stmts,
+    _uwhile, _warps_per_block, _while, _wk, analyze_batch_safety,
 )
 from repro.gpu.events import KernelStats
 from repro.gpu.memory import GlobalMemory
@@ -144,6 +151,7 @@ _BASE_GLOBALS = {
     "_wk": _wk, "_lanes": _lanes, "_lanes_of": _lanes_of,
     "_charge": _charge, "_if": _if, "_while": _while, "_uwhile": _uwhile,
     "_warps_per_block": _warps_per_block,
+    "_scan": _scan, "_ScanLoop": ScanLoop,
 }
 for _fn_name, _fn in _CALLS.items():
     _BASE_GLOBALS[f"C_{_fn_name}"] = _fn
@@ -196,7 +204,11 @@ class _Emitter:
     (``rN(E, m, f, aw, aws)``, see
     :func:`~repro.gpu.executor_batched._charge`) and per loop condition
     (``cN(E)``), nested in ``_run_chunk`` so they share its per-launch
-    locals, with the shared control-flow helpers calling them."""
+    locals, with the shared control-flow helpers calling them.  A scan
+    loop is emitted once, as a module-level
+    :class:`~repro.gpu.executor_batched.ScanLoop` (``SN``) whose
+    expressions are lambdas of an environment ``V``, for
+    :func:`~repro.gpu.executor_batched._scan` to run."""
 
     def __init__(self, kernel: K.Kernel, device: DeviceProperties):
         self.kernel = kernel
@@ -205,6 +217,7 @@ class _Emitter:
         self.warp_ids = _uniform_stmts(kernel, "warp")
         self.used_wok = False
         self.funcs: list[list[str]] = []
+        self.scans: list[str] = []
         self.lines: list[str] = []
         self.ind = 0
         self.uid = 0
@@ -240,10 +253,17 @@ class _Emitter:
 
     # -- expressions ------------------------------------------------------
 
-    def expr(self, e: K.Expr, rep: bool = False) -> str:
+    def expr(self, e: K.Expr, rep: bool = False, scan: bool = False) -> str:
         """One expression; ``rep=True`` evaluates on warp-representative
         slices (one column per warp) — only valid for expressions the
-        warp-uniformity verdict covers."""
+        warp-uniformity verdict covers; ``scan=True`` reads everything
+        from an environment ``V`` (a scan loop's lambdas)."""
+        if scan and isinstance(e, K.Reg):
+            return f"V.regs[{e.name!r}]"
+        if scan and isinstance(e, K.Special):
+            return f"V.{e.kind}"
+        if scan and isinstance(e, K.Param):
+            return f"_param(V, {e.name!r})"
         if isinstance(e, K.Const):
             ctor = _CONST_CTORS[e.dtype.np]
             if e.dtype.np.kind == "f":
@@ -270,27 +290,28 @@ class _Emitter:
             self.params.add(e.name)
             return f"P_{e.name}"
         if isinstance(e, K.Bin):
-            a, b = self.expr(e.a, rep), self.expr(e.b, rep)
+            a, b = self.expr(e.a, rep, scan), self.expr(e.b, rep, scan)
             if e.op == "&&":
                 return f"(TRU(ASR({a})) & TRU(ASR({b})))"
             if e.op == "||":
                 return f"(TRU(ASR({a})) | TRU(ASR({b})))"
             return f"{_BINOP_NAMES[e.op]}({a}, {b})"
         if isinstance(e, K.Un):
-            a = self.expr(e.a, rep)
+            a = self.expr(e.a, rep, scan)
             if e.op == "neg":
                 return f"NEG({a})"
             if e.op == "not":
                 return f"(~TRU(ASR({a})))"
             return f"INV({a})"
         if isinstance(e, K.Call):
-            args = ", ".join(self.expr(a, rep) for a in e.args)
+            args = ", ".join(self.expr(a, rep, scan) for a in e.args)
             return f"C_{e.fn}({args})"
         if isinstance(e, K.Cast):
-            return f"_cast({self.expr(e.a, rep)}, {_DTYPE_NAMES[e.dtype.np]})"
+            a = self.expr(e.a, rep, scan)
+            return f"_cast({a}, {_DTYPE_NAMES[e.dtype.np]})"
         if isinstance(e, K.Select):
-            c = self.expr(e.cond, rep)
-            a, b = self.expr(e.a, rep), self.expr(e.b, rep)
+            c = self.expr(e.cond, rep, scan)
+            a, b = self.expr(e.a, rep, scan), self.expr(e.b, rep, scan)
             return f"WHERE(TRU(ASR({c})), {a}, {b})"
         raise SimulationError(f"unknown expression node {e!r}")
 
@@ -380,8 +401,12 @@ class _Emitter:
             self.w(f"_if(E, m, f, aw, aws, {self.expr(s.cond)}, {sid}, "
                    f"{then}, {orelse})")
         elif isinstance(s, K.While):
-            self.w(f"_while(E, m, {sid}, {self.cond(s.cond)}, "
-                   f"{self.region(s.body)})")
+            form = _scan_form(s)
+            if form is None:
+                self.w(f"_while(E, m, {sid}, {self.cond(s.cond)}, "
+                       f"{self.region(s.body)})")
+            else:
+                self.w(f"_scan(E, m, {self.scan_loop(sid, form)})")
         elif isinstance(s, K.UniformWhile):
             self.w(f"_uwhile(E, m, aw, {sid}, {self.cond(s.cond)}, "
                    f"{self.region(s.body)})")
@@ -392,6 +417,27 @@ class _Emitter:
                    f"{int(self.device.warp_size)}, m, f)")
         else:
             raise SimulationError(f"unknown statement node {s!r}")
+
+    def scan_loop(self, sid: int, form) -> str:
+        """A scan loop's module-level ``ScanLoop``; returns its name."""
+        self.uid += 1
+        name = f"S{self.uid}"
+
+        def fn(e):
+            return f"lambda V: {self.expr(e, scan=True)}"
+
+        stmts = []
+        for kind, b, x, op in form.stmts:
+            arg = (f"({b.buf!r}, {self.alloc_slot(b.sid)})" if kind == "g"
+                   else repr(b.arr) if kind == "s"
+                   else _BINOP_NAMES.get(op, f"C_{op}") if kind == "a"
+                   else "None")
+            stmts.append(f"({kind!r}, {b.dst!r}, {b.sid}, {arg}, {fn(x)})")
+        inv = "None" if form.inv is None else fn(form.inv)
+        self.scans.append(
+            f"{name} = _ScanLoop({sid}, {form.iv!r}, {form.cmp!r}, {inv}, "
+            f"{fn(form.bound)}, {form.reads!r}, ({', '.join(stmts)},))")
+        return name
 
     def emit_gload(self, s: K.GLoad) -> None:
         slot = self.alloc_slot(s.sid)
@@ -430,6 +476,7 @@ class _Emitter:
             f"# trace-compiled kernel {self.kernel.name!r} "
             "(generated by repro.gpu.executor_trace)",
             "_SLOT_SIDS = " + repr(self.slot_sids),
+            *self.scans,
             "def _run_chunk(E):",
             # counted launch (off on a counter-memo hit): the gathers
             # only the counters read sit behind this flag

@@ -299,6 +299,11 @@ UNIFORMITY_PIN = (50, "4b131fd8444cbafd6a841f168ec9cdb4"
 TRACE_REPORT_PIN = (50, "f0234f6283c02bb1efee9723f2ee1d12"
                         "969107ea79fbe9d7e95a7cdf6f14c365")
 
+#: (kernels, sha256 of the sorted ``(kernel, sid, form)`` loop verdicts:
+#: ``form`` the scan-loop signature, "" for a loop that is not one)
+SCAN_FORM_PIN = (50, "d4095496553454dbf35d586bc6e2ac74"
+                     "ac429a320e64393bed4c3ae673c36283")
+
 #: AST nodes of the generated trace source of every trace-eligible
 #: kernel of the 42 Table 2 cells at 192×8×128 (38 kernels).  Emitting
 #: the control-flow rules inline took 379,606; the shared helpers take
@@ -371,6 +376,56 @@ class TestVerdictPins:
             lowered=SimpleNamespace(kernels=[k]))) for _, k in kernels]
         digest = hashlib.sha256("\n".join(report).encode()).hexdigest()
         assert (len(kernels), digest) == TRACE_REPORT_PIN
+
+
+class TestScanLoopVerdicts:
+    """Which loops both fast executors run along their iteration axis
+    (:func:`~repro.gpu.executor_batched._scan_form`), pinned over the
+    same kernels as the uniformity verdicts."""
+
+    @pytest.fixture(scope="class")
+    def loops(self):
+        from repro.gpu.executor_batched import _scan_form
+
+        out, kernels = [], 0
+        for label, source, geom in _pin_corpus():
+            prog = acc.compile(source, pipeline="optimized", **geom)
+            for k in prog.lowered.kernels:
+                kernels += 1
+                for s, _ in K.walk_stmts(k.body):
+                    if isinstance(s, (K.While, K.UniformWhile)):
+                        form = _scan_form(s)
+                        out.append((f"{label}:{k.name}", s.sid,
+                                    "" if form is None else str(form)))
+        return kernels, out
+
+    def test_scan_forms_pinned(self, loops):
+        kernels, rows = loops
+        digest = hashlib.sha256(repr(sorted(rows)).encode()).hexdigest()
+        assert (kernels, digest) == SCAN_FORM_PIN
+
+    def test_finish_and_vector_loops_are_scan_loops(self, loops):
+        _, rows = loops
+        forms = {(name.split(":")[0], sid): form for name, sid, form in rows}
+        # the fused finish kernel's strided accumulation over 196,608
+        # partials, and the vector cells' 32-iteration i-loops
+        finish = [forms[(f"{pos}gang worker vector [{op}] {ct}", sid)]
+                  for pos, sid in (("", 25), ("same line ", 15))
+                  for op in "+*" for ct in ("float", "double")]
+        vector = [forms[(f"vector [{op}] {ct}", 17)]
+                  for op in "+*" for ct in ("int", "float", "double")]
+        assert finish == [f"< g a{op} i" for _ in range(2) for op in "+*"
+                          for _ in range(2)]
+        assert vector == [f"&< g a{op} i" for op in "+*" for _ in range(3)]
+        # heat's Jacobi loops store, and its error reduction's gang loop
+        # holds a loop; the error reduction's vector loop is a max fold
+        heat = {(name, sid): form for name, sid, form in rows
+                if name.startswith("heat")}
+        assert heat == {
+            ("heat-update:acc_region_main", 4): "",
+            ("heat-update:acc_region_main", 7): "",
+            ("heat-error:acc_region_main", 5): "",
+            ("heat-error:acc_region_main", 8): "< g g afmax i"}
 
 
 class TestGeneratedSourceSize:

@@ -646,17 +646,22 @@ def test_tiered_hit_counts_nothing(monkeypatch):
     prog = acc.compile(case.source, **GEOM)
     first = prog.run(**case.make_inputs(np.random.default_rng(1)))
     assert _tiers(first) == {("batched", "counted")}
-    # the generated code binds its helpers when it is compiled, which
-    # the first trace launch below does
+    # the region warp vector: the generated code binds it when it is
+    # compiled, which the first trace launch below does; the shared loop
+    # helpers reach it as a module global
+    warps = guard("_warps_per_block", executor_batched._warps_per_block)
     monkeypatch.setitem(executor_trace._BASE_GLOBALS, "_warps_per_block",
-                        guard("_warps_per_block",
-                              executor_batched._warps_per_block))
-    # the access log's entry points and its folds
+                        warps)
+    monkeypatch.setattr(executor_batched, "_warps_per_block", warps)
+    # the access log's entry points and its folds, and the scan loop's
+    # access log pass and warp-slot charge
     for owner, name in ((AccessLog, "add_global"), (AccessLog, "add_shared"),
                         (AccessLog, "flush"),
                         (GlobalMemory, "_count_transactions_batched"),
                         (SharedMemory, "_count_banks"),
-                        (executor_batched, "finalize_segment_reuse")):
+                        (executor_batched, "finalize_segment_reuse"),
+                        (executor_batched, "_scan_log"),
+                        (executor_batched, "_scan_charge")):
         monkeypatch.setattr(owner, name, guard(name, getattr(owner, name)))
     forbid[0] = True
     fresh = case.make_inputs(np.random.default_rng(2))
@@ -668,7 +673,8 @@ def test_tiered_hit_counts_nothing(monkeypatch):
     assert _tiers(counted) == {("trace", "counted")}
     assert set(called) == {"_warps_per_block", "add_global", "add_shared",
                            "flush", "_count_transactions_batched",
-                           "_count_banks", "finalize_segment_reuse"}
+                           "_count_banks", "finalize_segment_reuse",
+                           "_scan_log", "_scan_charge"}
     _assert_same_run(hit, counted)
 
 
