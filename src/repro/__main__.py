@@ -566,7 +566,9 @@ def _cmd_loadgen(args) -> int:
             print(f"  {mark} {c['name']:<20} {c['detail']}",
                   file=sys.stderr)
         print(f"soak gate: {'PASSED' if gate['passed'] else 'FAILED'} "
-              f"({report['by_status']})", file=sys.stderr)
+              f"({report['by_status']}; heal phase: "
+              f"{report['heal_phase']['requests']} request(s))",
+              file=sys.stderr)
         return 0 if gate["passed"] else 1
     # fault-free loadgen gates: nothing escaped, and (with a warm pass)
     # the persistent cache measurably beat the cold compile path

@@ -94,7 +94,7 @@ def verify_results(corpus: list[LoadRequest],
     Every ``ok`` result must match its reference exactly; a mismatch is
     an **escaped silent corruption** (the thing the whole robustness
     stack exists to prevent).  Every non-ok result must carry a typed
-    error name.
+    error name.  ``ids`` lists the results judged, in order.
     """
     by_id = {lr.request.id: lr for lr in corpus}
     escaped, untyped, ok = [], [], 0
@@ -119,7 +119,7 @@ def verify_results(corpus: list[LoadRequest],
                 escaped.append({"id": res.id, "name": name,
                                 "got": repr(got), "want": repr(want)})
     return {"ok": ok, "escaped": escaped, "escaped_count": len(escaped),
-            "untyped_failures": untyped}
+            "untyped_failures": untyped, "ids": [r.id for r in results]}
 
 
 async def run_wave(scheduler: Scheduler, corpus: list[LoadRequest], *,

@@ -152,14 +152,20 @@ class ServeConfig:
 
 
 class _Dispatch:
-    """One execution of a request on one device."""
+    """One execution of a request on one device.
 
-    __slots__ = ("dev", "future", "abandoned", "kind")
+    ``abandoned``: the request stopped waiting for it (a hedge won, or
+    the deadline expired). ``charged``: the deadline expiry already fed
+    the breaker a timeout for it, so its late outcome must not.
+    """
+
+    __slots__ = ("dev", "future", "abandoned", "charged", "kind")
 
     def __init__(self, dev: PooledDevice, future, kind: str):
         self.dev = dev
         self.future = future
         self.abandoned = False
+        self.charged = False
         self.kind = kind  # "primary" | "hedge" | "retry"
 
 
@@ -302,9 +308,10 @@ class Scheduler:
         dev.inflight = max(0, dev.inflight - 1)
         exc = (dispatch.future.exception()
                if not dispatch.future.cancelled() else None)
-        if dispatch.abandoned:
+        if dispatch.charged:
             # deadline already charged this dispatch as a timeout; the
-            # late outcome must not also feed the breaker
+            # late outcome must not also feed the breaker (a hedge loser
+            # was charged nothing, so its outcome does)
             pass
         elif isinstance(exc, (KeyboardInterrupt, SystemExit)):
             pass  # interrupts are not device health signals
@@ -595,7 +602,7 @@ class Scheduler:
             if rem <= 0:
                 for d in dispatches:
                     if not d.future.done():
-                        d.abandoned = True
+                        d.abandoned = d.charged = True
                         d.dev.timeouts += 1
                         d.dev.breaker.record_failure("timeout")
                 return "expired"

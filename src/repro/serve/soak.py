@@ -10,6 +10,17 @@ device, and — repeated — tripping the victim device's circuit breaker).
 Each plan carries a ``max_faults`` budget, so the chaotic device
 eventually *heals* and the breaker's probation path re-admits it.
 
+The wave alone cannot keep that promise: once it drains, no request is
+left to probe the victim, so whether it is re-admitted would depend on
+how fast the healthy devices finish the wave. After the wave the soak
+therefore runs a **heal phase**: it keeps submitting corpus requests
+(in order, ``n_devices`` at a time, each repeat under a fresh id such
+as ``req-0007+1``) while any victim's injector is still armed or its
+breaker is not ``closed``, for at most ``deadline_s``. A breaker that
+never re-admits still fails the gate when that bound is reached. The
+report's ``by_status`` and ``latency`` describe the wave only;
+``verify`` and ``reference_escapes`` cover every request.
+
 The **gate** (:func:`evaluate_gate`) is the PR's acceptance bar:
 
 1. zero escaped silent corruptions — every ``ok`` answer bit-identical
@@ -22,21 +33,24 @@ The **gate** (:func:`evaluate_gate`) is the PR's acceptance bar:
 from __future__ import annotations
 
 import asyncio
+import dataclasses
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.faults import FaultPlan
 from repro.obs import timeline as _timeline
-from repro.obs.slo import quantile
 from repro.serve.cache import CompileCache
-from repro.serve.loadgen import build_corpus, run_wave, verify_results
+from repro.serve.loadgen import (LoadRequest, _wave_stats, build_corpus,
+                                 run_wave, verify_results)
 from repro.serve.pool import DevicePool
 from repro.serve.scheduler import Scheduler, ServeConfig
 
 __all__ = ["SoakConfig", "run_soak", "evaluate_gate", "reference_results"]
 
-#: the default chaos mix, budgeted so the device heals before the end.
+#: the default chaos mix, budgeted so the device heals before the end
+#: (the heal phase keeps the load up until it has).
 #: Stuck warps dominate deliberately: launch/transfer failures are
 #: transient (absorbed by in-run retries) and read upsets are outvoted
 #: by redundant execution, so only the watchdog-detected hangs reach the
@@ -96,9 +110,8 @@ def reference_results(corpus) -> dict:
     return refs
 
 
-def _compare_to_reference(corpus, results, refs) -> list:
+def _compare_to_reference(results, refs) -> list:
     """Escaped-corruption list: ok answers that differ from the baseline."""
-    by_id = {lr.request.id: lr for lr in corpus}
     escapes = []
     for res in results:
         if res.status != "ok":
@@ -114,8 +127,39 @@ def _compare_to_reference(corpus, results, refs) -> list:
             got = (res.outputs or {}).get(name)
             if got is None or got.tobytes() != want.tobytes():
                 escapes.append({"id": res.id, "what": f"array:{name}"})
-        _ = by_id  # (kept for symmetry with verify_results)
     return escapes
+
+
+def _repeat(lr: LoadRequest, k: int) -> LoadRequest:
+    """Corpus entry ``lr`` resubmitted for the ``k``-th time: a fresh id,
+    the same program, inputs and references."""
+    return LoadRequest(
+        dataclasses.replace(lr.request, id=f"{lr.request.id}+{k}"),
+        lr.case, lr.expected)
+
+
+async def _heal_phase(sched, pool, corpus,
+                      cfg: SoakConfig) -> tuple[list, list]:
+    """Keep the load up until every victim has healed and been decided.
+
+    Cycles the corpus ``n_devices`` requests at a time while any chaos
+    device still has fault budget or a breaker that is not ``closed``;
+    gives up ``deadline_s`` after it starts. Returns the repeats and
+    their results.
+    """
+    def unsettled() -> bool:
+        return any((d.injector is not None and d.injector.armed)
+                   or d.breaker.state != "closed"
+                   for d in (pool.devices[i] for i in cfg.chaos_devices))
+
+    t_end = time.perf_counter() + cfg.deadline_s
+    repeats, results = [], []
+    while unsettled() and time.perf_counter() < t_end:
+        batch = [_repeat(corpus[j % len(corpus)], j // len(corpus) + 1)
+                 for j in range(len(repeats), len(repeats) + cfg.n_devices)]
+        repeats.extend(batch)
+        results.extend(await run_wave(sched, batch))
+    return repeats, results
 
 
 def run_soak(cache_dir, config: SoakConfig | None = None) -> dict:
@@ -155,21 +199,28 @@ def run_soak(cache_dir, config: SoakConfig | None = None) -> dict:
             results = await run_wave(sched, corpus,
                                      stagger_s=cfg.stagger_s,
                                      on_submitted=on_submitted)
-            return results, sched.report(), pool.snapshot()
+            heal = await _heal_phase(sched, pool, corpus, cfg)
+            return results, heal, sched.report(), pool.snapshot()
 
-    results, sched_report, devices = asyncio.run(_run())
-    verify = verify_results(corpus, results)
-    escapes = _compare_to_reference(corpus, results, refs)
-    ok_lat = [r.latency_us for r in results if r.ok]
+    results, (repeats, heal_results), sched_report, devices = \
+        asyncio.run(_run())
+    for lr in repeats:
+        refs[lr.request.id] = refs[lr.request.id.partition("+")[0]]
+    every = results + heal_results
+    verify = verify_results(corpus + repeats, every)
+    escapes = _compare_to_reference(every, refs)
+    wave = _wave_stats(results)
     report = {
         "config": {"n_requests": cfg.n_requests,
                    "n_devices": cfg.n_devices, "seed": cfg.seed,
                    "chaos_devices": list(cfg.chaos_devices),
                    "armed_after": arm_at, "chaos": dict(cfg.chaos),
                    "max_faults": cfg.max_faults},
-        "by_status": sched_report["by_status"],
-        "latency": {"ok_p50_us": round(quantile(ok_lat, 0.5), 1),
-                    "ok_p99_us": round(quantile(ok_lat, 0.99), 1)},
+        "by_status": wave["by_status"],
+        "heal_phase": {"requests": len(repeats),
+                       "ids": [lr.request.id for lr in repeats]},
+        "latency": {"ok_p50_us": wave["latency_p50_us"],
+                    "ok_p99_us": wave["latency_p99_us"]},
         "verify": verify,
         "reference_escapes": escapes,
         "devices": devices,

@@ -46,6 +46,14 @@ def scripted(sched, script):
     sched._thread_body = script
 
 
+async def _drained(pool, limit_s=5.0):
+    """Wait until no dispatch holds a device, abandoned ones included."""
+    t_end = time.perf_counter() + limit_s
+    while any(d.inflight for d in pool.devices) and \
+            time.perf_counter() < t_end:
+        await asyncio.sleep(0.01)
+
+
 class TestEndToEnd:
     def test_real_compile_and_run(self):
         async def go():
@@ -324,6 +332,78 @@ class TestBreakerIntegration:
         assert res.status == "error"
         assert res.error == "CircuitOpenError"
         assert "quarantined" in res.message
+
+
+class TestHedgedProbes:
+    """A probation probe that loses its hedge still feeds its breaker."""
+
+    @staticmethod
+    def _probing_pool(now):
+        # dev0 tripped and its quarantine elapsed: the next pick makes
+        # it a probation probe (the breaker runs on the test's clock)
+        pool = DevicePool(2, breaker_kwargs=dict(
+            window=4, min_samples=1, quarantine_s=1.0,
+            probation_probes=2, clock=lambda: now[0]))
+        pool.devices[0].breaker.record_failure("setup")
+        now[0] += 1.0
+        return pool
+
+    @staticmethod
+    def _cfg():
+        return ServeConfig(hedge_after_s=0.05, poll_interval_s=0.01)
+
+    def test_slow_failing_probe_retrips_and_frees_its_slot(self):
+        now = [0.0]
+
+        async def go():
+            pool = self._probing_pool(now)
+            async with Scheduler(pool, self._cfg()) as sched:
+                def body(req, dev):
+                    if dev.name == "dev0":
+                        time.sleep(0.3)
+                        raise SimulationError("probe fails late")
+                    return _payload(dev)
+                scripted(sched, body)
+                res = await sched.submit(_req("r1"))
+                await _drained(pool)  # the losing probe finishes
+                return res, pool
+
+        res, pool = _run(go())
+        assert res.ok and res.hedged and res.device == "dev1"
+        dev0 = pool.devices[0]
+        assert dev0.errors == 1
+        assert dev0.breaker.state == "open"
+        assert dev0.breaker.trips == 2
+        # no probe slot is held: after the quarantine, a full probation
+        # of fresh probes is admitted
+        now[0] += 10.0
+        assert [dev0.breaker.allow() for _ in range(3)] == \
+            [True, True, False]
+
+    def test_slow_succeeding_probe_counts_toward_probation(self):
+        now = [0.0]
+
+        async def go():
+            pool = self._probing_pool(now)
+            async with Scheduler(pool, self._cfg()) as sched:
+                def body(req, dev):
+                    if dev.name == "dev0" and req.id == "r1":
+                        time.sleep(0.3)
+                    return _payload(dev)
+                scripted(sched, body)
+                r1 = await sched.submit(_req("r1"))
+                await _drained(pool)  # the losing probe finishes
+                # the second probe completes dev0's probation
+                r2 = await sched.submit(_req("r2"))
+                return r1, r2, pool
+
+        r1, r2, pool = _run(go())
+        assert r1.ok and r1.hedged and r1.device == "dev1"
+        assert r2.ok and r2.device == "dev0" and not r2.hedged
+        dev0 = pool.devices[0]
+        assert dev0.served == 2
+        assert dev0.breaker.readmissions == 1
+        assert dev0.breaker.state == "closed"
 
 
 class TestReporting:

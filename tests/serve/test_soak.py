@@ -60,3 +60,14 @@ class TestSoakGate:
         assert stats["stores"] >= 1
         assert stats["hits"] >= 1
         assert stats["corrupt"] == 0
+
+
+class TestHealPhase:
+    def test_wave_numbers_are_the_wave_and_repeats_are_verified(self, soak):
+        report, cfg = soak
+        assert sum(report["by_status"].values()) == cfg.n_requests
+        heal = report["heal_phase"]
+        assert heal["requests"] == len(heal["ids"])
+        assert set(heal["ids"]) <= set(report["verify"]["ids"])
+        assert len(report["verify"]["ids"]) == \
+            cfg.n_requests + heal["requests"]
